@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
       sim::parallel_sweep(gammas, [&](double gamma) {
         core::RouterConfig config =
             bench::figure_config(4, args.packets_per_lc);
-        config.engine = args.engine;
         config.execution = args.execution;
         config.threads = args.threads;
         config.cache.blocks = 4096;

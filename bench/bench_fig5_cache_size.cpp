@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
       sim::parallel_sweep(betas, [&](std::size_t beta) {
         core::RouterConfig config =
             bench::figure_config(16, args.packets_per_lc);
-        config.engine = args.engine;
         config.execution = args.execution;
         config.threads = args.threads;
         config.cache.blocks = beta;

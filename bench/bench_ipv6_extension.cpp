@@ -12,7 +12,7 @@
 #include "core/router_sim6.h"
 #include "net/prefix6.h"
 #include "partition/partition6.h"
-#include "trie/binary_trie6.h"
+#include "trie/binary_trie.h"
 
 using namespace spal;
 

@@ -144,7 +144,6 @@ int main(int argc, char** argv) {
 
     core::RouterConfig config =
         bench::figure_config(point.psi, args.packets_per_lc);
-    config.engine = args.engine;
     config.execution = args.execution;
     config.threads = args.threads;
     if (point.policy == Policy::kTraffic) {

@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
   constexpr int kPsi = 16;
   const trace::WorkloadProfile profile = trace::profile_d75();
   core::RouterConfig base = bench::figure_config(kPsi, args.packets_per_lc);
-  base.engine = args.engine;
 
   // Sequential oracle first: its JSON is the reference for every point.
   core::RouterConfig sequential = base;

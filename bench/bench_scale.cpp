@@ -174,7 +174,6 @@ int main(int argc, char** argv) {
       for (const trie::TrieKind kind : sim_kinds) {
         core::RouterConfig config =
             bench::figure_config(psi, args.packets_per_lc);
-        config.engine = args.engine;
         config.execution = args.execution;
         config.threads = args.threads;
         config.trie = kind;

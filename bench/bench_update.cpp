@@ -63,7 +63,6 @@ int main(int argc, char** argv) {
   const auto outputs = sim::parallel_sweep(points, [&](const Point& point) {
     core::RouterConfig config =
         bench::figure_config(point.psi, args.packets_per_lc);
-    config.engine = args.engine;
     config.execution = args.execution;
     config.threads = args.threads;
     config.trie = point.trie;

@@ -31,11 +31,11 @@ namespace spal::bench {
 struct BenchArgs {
   std::size_t packets_per_lc = 100'000;
   bool full = false;
-  // Event-engine override (--engine=heap|calendar|sharded) for A/B
-  // wall-clock runs; results are bit-identical either way. `sharded` keeps
-  // the calendar queue per shard and turns on the parallel execution mode;
-  // --threads=N caps its worker count (0 = hardware concurrency).
-  sim::EngineKind engine = sim::EngineKind::kCalendar;
+  // Execution mode (--engine=calendar|sharded) for A/B wall-clock runs;
+  // results are bit-identical either way. `calendar` is the sequential
+  // engine; `sharded` keeps the calendar queue per shard and turns on the
+  // parallel execution mode; --threads=N caps its worker count
+  // (0 = hardware concurrency).
   core::RouterConfig::ExecutionMode execution =
       core::RouterConfig::ExecutionMode::kSequential;
   int threads = 0;
@@ -207,15 +207,13 @@ struct BenchArgs {
         args.inject_staleness = true;
       } else if (std::strcmp(arg, "--verify") == 0) {
         args.verify = true;
-      } else if (std::strcmp(arg, "--engine=heap") == 0) {
-        args.engine = sim::EngineKind::kHeap;
       } else if (std::strcmp(arg, "--engine=calendar") == 0) {
-        args.engine = sim::EngineKind::kCalendar;
+        args.execution = core::RouterConfig::ExecutionMode::kSequential;
       } else if (std::strcmp(arg, "--engine=sharded") == 0) {
         args.execution = core::RouterConfig::ExecutionMode::kSharded;
       } else if (std::strncmp(arg, "--engine=", 9) == 0) {
         std::fprintf(stderr,
-                     "--engine expects heap, calendar, or sharded, got '%s'\n",
+                     "--engine expects calendar or sharded, got '%s'\n",
                      arg + 9);
         usage_error(nullptr);
       } else if (std::strncmp(arg, "--threads=", 10) == 0) {
@@ -252,7 +250,7 @@ struct BenchArgs {
                  "[--balance=count|traffic] [--rebalance-window=N] "
                  "[--inject-staleness] "
                  "[--simd=generic|sse42|avx2|auto] [--verify] "
-                 "[--engine=heap|calendar|sharded] [--threads=N] "
+                 "[--engine=calendar|sharded] [--threads=N] "
                  "[--json[=path]]\n");
     std::exit(2);
   }

@@ -123,7 +123,6 @@
 #include "net/update_stream.h"
 #include "partition/rot_partition.h"
 #include "sim/calendar_queue.h"
-#include "sim/engine.h"
 #include "sim/packet_source.h"
 #include "sim/shard_sync.h"
 #include "sim/spsc_ring.h"
@@ -427,8 +426,9 @@ class BasicRouterSim {
       }
       expected[static_cast<std::size_t>(shard_of_lc(0))] += update_count;
       for (int s = 0; s < shard_count_; ++s) {
-        shards_[static_cast<std::size_t>(s)]->queue.reset(
-            config_.engine, expected[static_cast<std::size_t>(s)], horizon);
+        auto& queue = shards_[static_cast<std::size_t>(s)]->queue;
+        queue = sim::CalendarQueue<Event>{};
+        queue.reserve(expected[static_cast<std::size_t>(s)], horizon);
       }
     }
     for (std::size_t i = 0; i < updates_.size(); ++i) {
@@ -918,7 +918,7 @@ class BasicRouterSim {
   /// rings, published frontier, idle flag).
   struct Shard {
     int index = 0;
-    sim::AnyEventQueue<Event> queue;
+    sim::CalendarQueue<Event> queue;
     std::vector<StagedMsg> staging;  // min-heap via StagedAfter
     WaitMap waiting;
     std::vector<typename WaitMap::node_type> wait_pool;

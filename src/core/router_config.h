@@ -30,12 +30,6 @@ struct RouterConfig {
   trie::TrieKind trie = trie::TrieKind::kLulea;
   trie::LpmBuildOptions trie_options;
 
-  /// Event-queue implementation driving the simulation. Both engines pop
-  /// events in the identical (time, insertion-seq) order, so results are
-  /// bit-identical; the calendar queue is O(1) amortized per event and is
-  /// the default. kHeap remains for A/B measurement and as a reference.
-  sim::EngineKind engine = sim::EngineKind::kCalendar;
-
   /// How the event engine executes. kSequential runs every LC's events in
   /// one global queue on the calling thread — the bit-identity oracle.
   /// kSharded splits the LCs across worker threads, each owning its LCs'

@@ -1,13 +1,15 @@
 // The IPv6 SPAL router — the end-to-end form of the paper's Sec. 6 claim
 // that SPAL "is feasibly applicable to IPv6". Identical lookup flow to the
 // IPv4 router (basic_router_sim.h): 128-bit destinations, RotPartition6
-// fragmentation, BasicLrCache<Ipv6Addr> LR-caches, BinaryTrie6 FEs.
+// fragmentation, BasicLrCache<Ipv6Addr> LR-caches, DpTrie6 FEs and a
+// BinaryTrie6 oracle. The tries are the IPv4 router's own: one class
+// template per structure (BasicDpTrie, BasicBinaryTrie), instantiated on
+// Ipv6Addr.
 //
 // Configuration notes vs. the IPv4 router:
-//   * `config.trie` / `config.trie_options` are ignored — the v6 FE is the
-//     path-compressed DP-style trie (the other compressed tries are
-//     IPv4-specific structures); `fe_service_cycles` still sets the FE's
-//     abstract service time.
+//   * `config.trie` / `config.trie_options` are ignored — the v6 FE is
+//     always the path-compressed DP trie; `fe_service_cycles` still sets
+//     the FE's abstract service time.
 //   * `config.partition_config` is ignored — control bits are selected by
 //     the Sec. 3.1 criteria over bits 0..63.
 //   * `config.fault` / `config.recovery` work identically to IPv4: the
@@ -19,8 +21,8 @@
 #include "net/prefix6.h"
 #include "partition/partition6.h"
 #include "trace/trace_gen6.h"
-#include "trie/binary_trie6.h"
-#include "trie/dp_trie6.h"
+#include "trie/binary_trie.h"
+#include "trie/dp_trie.h"
 
 namespace spal::core {
 

@@ -43,12 +43,9 @@
 #include "sim/sweep.h"
 #include "trace/trace_gen.h"
 #include "trie/binary_trie.h"
-#include "trie/binary_trie6.h"
 #include "trie/dp_trie.h"
-#include "trie/dp_trie6.h"
 #include "trie/gupta_trie.h"
 #include "trie/lc_trie.h"
-#include "trie/lc_trie6.h"
 #include "trie/lpm.h"
 #include "trie/lulea_trie.h"
 #include "trie/stride_trie.h"

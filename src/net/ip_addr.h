@@ -7,6 +7,7 @@
 // the MSB.
 #pragma once
 
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <optional>
@@ -43,10 +44,12 @@ class Ipv4Addr {
 
   /// Extracts `count` bits starting at MSB-relative position `pos`,
   /// packed into the low bits of the result (earlier position = higher bit).
+  /// Branch-free: count == 0 yields 0 through the zero mask (the shift
+  /// amount is clamped, so it stays well-defined at pos + count == 32).
   constexpr std::uint32_t bits(int pos, int count) const {
-    if (count == 0) return 0;
-    return (value_ >> (kBits - pos - count)) &
-           (count >= 32 ? ~std::uint32_t{0} : ((std::uint32_t{1} << count) - 1));
+    const std::uint32_t mask =
+        count >= 32 ? ~std::uint32_t{0} : ((std::uint32_t{1} << count) - 1);
+    return (value_ >> ((kBits - pos - count) & 31)) & mask;
   }
 
   /// Dotted-quad representation.
@@ -108,5 +111,64 @@ class Ipv6Addr {
   std::uint64_t hi_ = 0;
   std::uint64_t lo_ = 0;
 };
+
+// Bit-string helpers, overloaded per address type so code templated on the
+// address (the tries in src/trie) is written once. Positions are
+// MSB-relative, as in bit() / bits().
+
+/// True iff the first `bits` bits of a and b agree (bits in [0, kBits]).
+constexpr bool equal_prefix_bits(Ipv4Addr a, Ipv4Addr b, int bits) {
+  // Branch-free: a 64-bit shift by 32 - bits is defined for every bits.
+  return (std::uint64_t{a.value() ^ b.value()} >> (32 - bits)) == 0;
+}
+constexpr bool equal_prefix_bits(const Ipv6Addr& a, const Ipv6Addr& b, int bits) {
+  if (bits <= 0) return true;
+  if (bits <= 64) {
+    const std::uint64_t mask = ~std::uint64_t{0} << (64 - bits);
+    return ((a.hi() ^ b.hi()) & mask) == 0;
+  }
+  if (a.hi() != b.hi()) return false;
+  const std::uint64_t mask =
+      bits >= 128 ? ~std::uint64_t{0} : (~std::uint64_t{0} << (128 - bits));
+  return ((a.lo() ^ b.lo()) & mask) == 0;
+}
+
+/// Number of leading bits a and b share (0..kBits).
+constexpr int common_prefix_bits(Ipv4Addr a, Ipv4Addr b) {
+  return std::countl_zero(a.value() ^ b.value());
+}
+constexpr int common_prefix_bits(const Ipv6Addr& a, const Ipv6Addr& b) {
+  if (a.hi() != b.hi()) return std::countl_zero(a.hi() ^ b.hi());
+  if (a.lo() != b.lo()) return 64 + std::countl_zero(a.lo() ^ b.lo());
+  return 128;
+}
+
+/// `addr` truncated to its first `bits` bits (the rest zeroed).
+constexpr Ipv4Addr mask_to(Ipv4Addr addr, int bits) {
+  return Ipv4Addr{bits == 0 ? 0 : addr.value() & (~std::uint32_t{0} << (32 - bits))};
+}
+constexpr Ipv6Addr mask_to(const Ipv6Addr& addr, int bits) {
+  const std::uint64_t ones = ~std::uint64_t{0};
+  const std::uint64_t hi_mask =
+      bits <= 0 ? 0 : (bits >= 64 ? ones : ones << (64 - bits));
+  const std::uint64_t lo_mask =
+      bits <= 64 ? 0 : (bits >= 128 ? ones : ones << (128 - bits));
+  return Ipv6Addr{addr.hi() & hi_mask, addr.lo() & lo_mask};
+}
+
+/// `addr` with `value` OR-ed into the `count`-bit field at `pos`
+/// (count in [1, 32], pos + count <= kBits): sets a zeroed field.
+constexpr Ipv4Addr set_bits(Ipv4Addr addr, int pos, int count, std::uint32_t value) {
+  return Ipv4Addr{addr.value() | (value << (32 - pos - count))};
+}
+constexpr Ipv6Addr set_bits(const Ipv6Addr& addr, int pos, int count,
+                            std::uint32_t value) {
+  const int shift = 128 - pos - count;  // of the field's least significant bit
+  if (shift >= 64) {
+    return Ipv6Addr{addr.hi() | (std::uint64_t{value} << (shift - 64)), addr.lo()};
+  }
+  const std::uint64_t spill = shift == 0 ? 0 : std::uint64_t{value} >> (64 - shift);
+  return Ipv6Addr{addr.hi() | spill, addr.lo() | (std::uint64_t{value} << shift)};
+}
 
 }  // namespace spal::net

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <compare>
 #include <cstdint>
 #include <iosfwd>
@@ -143,24 +142,19 @@ RouteTable6 make_rt6_internet(std::size_t size = 220'000);
 /// Uniformly random address inside `prefix` (host bits randomized).
 Ipv6Addr random_address_in6(const Prefix6& prefix, std::mt19937_64& rng);
 
-/// True iff the first `bits` bits of a and b agree (bits in [0, 128]).
-constexpr bool equal_prefix_bits(const Ipv6Addr& a, const Ipv6Addr& b, int bits) {
-  if (bits <= 0) return true;
-  if (bits <= 64) {
-    const std::uint64_t mask = ~std::uint64_t{0} << (64 - bits);
-    return ((a.hi() ^ b.hi()) & mask) == 0;
-  }
-  if (a.hi() != b.hi()) return false;
-  const std::uint64_t mask =
-      bits >= 128 ? ~std::uint64_t{0} : (~std::uint64_t{0} << (128 - bits));
-  return ((a.lo() ^ b.lo()) & mask) == 0;
-}
-
-/// Number of leading bits a and b share (0..128).
-constexpr int common_prefix_bits(const Ipv6Addr& a, const Ipv6Addr& b) {
-  if (a.hi() != b.hi()) return std::countl_zero(a.hi() ^ b.hi());
-  if (a.lo() != b.lo()) return 64 + std::countl_zero(a.lo() ^ b.lo());
-  return 128;
-}
+/// Prefix and table types of an address type, for code templated on the
+/// address type (the tries in src/trie).
+template <typename Addr>
+struct AddrFamily;
+template <>
+struct AddrFamily<Ipv4Addr> {
+  using Prefix = net::Prefix;
+  using RouteTable = net::RouteTable;
+};
+template <>
+struct AddrFamily<Ipv6Addr> {
+  using Prefix = Prefix6;
+  using RouteTable = RouteTable6;
+};
 
 }  // namespace spal::net

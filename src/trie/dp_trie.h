@@ -1,5 +1,10 @@
 // DP trie (dynamic prefix trie), after Doeringer, Karjoth & Nassehi,
-// "Routing on Longest-Matching Prefixes", IEEE/ACM ToN 1996.
+// "Routing on Longest-Matching Prefixes", IEEE/ACM ToN 1996. One class
+// template over the address type: DpTrie is the IPv4 forwarding-engine
+// structure, DpTrie6 the IPv6 router's (a plain binary trie walks up to 128
+// levels for IPv6; path compression bounds the walk by the prefix
+// population instead, the property the paper's Sec. 6 feasibility claim
+// needs).
 //
 // A path-compressed one-bit trie whose nodes are exactly the stored prefixes
 // plus the branching points between them. Single-child chains are skipped
@@ -9,41 +14,52 @@
 // (Sec. 5.1 of the SPAL paper).
 //
 // Storage model (Sec. 4 of the SPAL paper): each node is one byte for the
-// index field plus five 4-byte pointers, i.e. 21 bytes per node.
+// index field plus five 4-byte pointers, i.e. 21 bytes per node. The IPv6
+// layout adds the 16-byte key inline: 37 bytes per node.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "net/prefix6.h"
 #include "trie/lpm.h"
 
 namespace spal::trie {
 
-class DpTrie final : public LpmIndex {
+template <typename Addr>
+class BasicDpTrie final : public LpmBase<Addr> {
  public:
-  explicit DpTrie(const net::RouteTable& table);
+  using Prefix = typename net::AddrFamily<Addr>::Prefix;
+  using RouteTable = typename net::AddrFamily<Addr>::RouteTable;
 
-  // LpmIndex:
-  net::NextHop lookup(net::Ipv4Addr addr) const override;
-  net::NextHop lookup_counted(net::Ipv4Addr addr,
-                              MemAccessCounter& counter) const override;
-  std::size_t storage_bytes() const override;
-  std::string_view name() const override { return "dp"; }
+  /// SRAM bytes per node (see the storage model above).
+  static constexpr std::size_t kNodeBytes =
+      std::is_same_v<Addr, net::Ipv4Addr> ? 1 + 5 * 4 : 1 + 5 * 4 + 16;
+
+  explicit BasicDpTrie(const RouteTable& table);
+
+  net::NextHop lookup(Addr addr) const;
+  net::NextHop lookup_counted(Addr addr, MemAccessCounter& counter) const;
+  /// Freed slots are reusable, so only live nodes count.
+  std::size_t storage_bytes() const { return node_count() * kNodeBytes; }
+  /// Single node arena (counted lookups tag arena 0 implicitly).
+  std::vector<ArenaSpan> arenas() const { return {{name(), storage_bytes()}}; }
+  std::string_view name() const { return "dp"; }
 
   // Incremental updates (the property the paper picks the DP trie for):
   // insert splits a compressed edge at the first divergent bit; remove
   // clears the prefix and splices out the node when it stops branching,
   // returning its slot to a free list. No rebuild, ever.
-  bool supports_incremental_update() const override { return true; }
-  void insert(const net::Prefix& prefix, net::NextHop next_hop) override;
-  bool remove(const net::Prefix& prefix) override;
+  bool supports_incremental_update() const { return true; }
+  void insert(const Prefix& prefix, net::NextHop next_hop);
+  bool remove(const Prefix& prefix);
 
   /// Live (reachable) nodes; freed slots are excluded.
   std::size_t node_count() const { return nodes_.size() - free_.size(); }
 
  private:
   struct Node {
-    std::uint32_t key = 0;       ///< path bits down to this node (MSB-aligned)
+    Addr key;                    ///< path bits down to this node
     std::uint8_t index = 0;      ///< depth: number of key bits that are fixed
     bool has_prefix = false;     ///< node stores a routing-table prefix
     net::NextHop next_hop = net::kNoRoute;
@@ -52,10 +68,9 @@ class DpTrie final : public LpmIndex {
   };
 
   template <bool kCounted>
-  net::NextHop lookup_impl(net::Ipv4Addr addr, MemAccessCounter* counter) const;
+  net::NextHop lookup_impl(Addr addr, MemAccessCounter* counter) const;
 
   std::int32_t alloc_node();
-  void free_node(std::int32_t id);
   /// Splices `id` out if it is a non-root pass-through (no prefix, <2
   /// children), cascading to its parent when it empties.
   void maybe_splice(std::int32_t id);
@@ -63,5 +78,10 @@ class DpTrie final : public LpmIndex {
   std::vector<Node> nodes_;  // nodes_[0] is the root (depth 0)
   std::vector<std::int32_t> free_;  // reclaimed slots for reuse
 };
+
+extern template class BasicDpTrie<net::Ipv4Addr>;
+extern template class BasicDpTrie<net::Ipv6Addr>;
+using DpTrie = BasicDpTrie<net::Ipv4Addr>;
+using DpTrie6 = BasicDpTrie<net::Ipv6Addr>;
 
 }  // namespace spal::trie

@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "net/route_table.h"
@@ -129,6 +130,14 @@ class LpmIndex {
     return false;
   }
 };
+
+/// Base of the tries templated on the address type (binary, DP, LC): the
+/// IPv4 instantiation implements LpmIndex, the IPv6 one is a plain class
+/// whose members are called directly.
+struct NoLpmIndex {};
+template <typename Addr>
+using LpmBase = std::conditional_t<std::is_same_v<Addr, net::Ipv4Addr>,
+                                   LpmIndex, NoLpmIndex>;
 
 /// Trie algorithm selector used by factories and experiment configs.
 enum class TrieKind { kBinary, kDp, kLulea, kLc, kGupta, kStride };

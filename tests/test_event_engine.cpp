@@ -1,8 +1,7 @@
 // Engine-equivalence tests: the CalendarQueue must pop in exactly the same
-// (time, insertion-seq) order as the binary-heap EventQueue — including
-// same-cycle bursts, far-future overflow, past schedules, and across
-// automatic resizes — and a RouterSim run must produce bit-identical
-// results under either engine.
+// (time, insertion-seq) order as the binary-heap EventQueue, the pop-order
+// oracle — including same-cycle bursts, far-future overflow, past
+// schedules, and across automatic resizes.
 #include "sim/calendar_queue.h"
 
 #include <gtest/gtest.h>
@@ -11,9 +10,6 @@
 #include <random>
 #include <vector>
 
-#include "core/router_sim.h"
-#include "core/router_sim6.h"
-#include "net/table_gen.h"
 #include "sim/engine.h"
 
 namespace {
@@ -184,117 +180,6 @@ TEST(CalendarQueueTest, ReserveMatchesUnreserved) {
     ASSERT_EQ(a.second, b.second);
   }
   ASSERT_TRUE(reserved.empty());
-}
-
-// --- Router-level equivalence -------------------------------------------
-
-net::RouteTable small_table() {
-  net::TableGenConfig config;
-  config.size = 3'000;
-  config.seed = 202;
-  return net::generate_table(config);
-}
-
-trace::WorkloadProfile small_profile() {
-  trace::WorkloadProfile profile = trace::profile_d81();
-  profile.flows = 2'000;
-  return profile;
-}
-
-void expect_identical(const core::RouterResult& heap,
-                      const core::RouterResult& calendar) {
-  EXPECT_EQ(heap.resolved_packets, calendar.resolved_packets);
-  EXPECT_EQ(heap.verify_mismatches, 0u);
-  EXPECT_EQ(calendar.verify_mismatches, 0u);
-  EXPECT_EQ(heap.makespan_cycles, calendar.makespan_cycles);
-  EXPECT_EQ(heap.fe_lookups, calendar.fe_lookups);
-  EXPECT_EQ(heap.remote_requests, calendar.remote_requests);
-  // Latency statistics must match exactly, not just on the mean.
-  EXPECT_EQ(heap.latency.count(), calendar.latency.count());
-  EXPECT_EQ(heap.latency.total_cycles(), calendar.latency.total_cycles());
-  EXPECT_EQ(heap.latency.worst_cycles(), calendar.latency.worst_cycles());
-  ASSERT_EQ(heap.per_lc_latency.size(), calendar.per_lc_latency.size());
-  for (std::size_t lc = 0; lc < heap.per_lc_latency.size(); ++lc) {
-    EXPECT_EQ(heap.per_lc_latency[lc].total_cycles(),
-              calendar.per_lc_latency[lc].total_cycles());
-  }
-  // Cache and fabric behaviour are downstream of event order: identical
-  // order implies identical counters.
-  EXPECT_EQ(heap.cache_total.probes, calendar.cache_total.probes);
-  EXPECT_EQ(heap.cache_total.hits, calendar.cache_total.hits);
-  EXPECT_EQ(heap.cache_total.misses, calendar.cache_total.misses);
-  EXPECT_EQ(heap.cache_total.evictions, calendar.cache_total.evictions);
-  EXPECT_EQ(heap.fabric.messages, calendar.fabric.messages);
-  EXPECT_EQ(heap.fabric.total_queueing_cycles,
-            calendar.fabric.total_queueing_cycles);
-  EXPECT_EQ(heap.updates_applied, calendar.updates_applied);
-}
-
-TEST(EngineEquivalenceTest, RouterSimBitIdenticalAcrossEngines) {
-  const net::RouteTable table = small_table();
-  for (const int psi : {1, 4}) {
-    core::RouterConfig config = core::spal_default_config(psi);
-    config.packets_per_lc = 4'000;
-    config.cache.blocks = 512;
-
-    config.engine = sim::EngineKind::kHeap;
-    core::RouterSim heap_router(table, config);
-    const auto heap_result =
-        heap_router.run_workload(small_profile(), /*verify=*/true);
-
-    config.engine = sim::EngineKind::kCalendar;
-    core::RouterSim calendar_router(table, config);
-    const auto calendar_result =
-        calendar_router.run_workload(small_profile(), /*verify=*/true);
-
-    expect_identical(heap_result, calendar_result);
-  }
-}
-
-TEST(EngineEquivalenceTest, RouterSimIdenticalWithTableUpdates) {
-  // Periodic cache flushes/invalidations stress waiting-list churn.
-  const net::RouteTable table = small_table();
-  core::RouterConfig config = core::spal_default_config(4);
-  config.packets_per_lc = 4'000;
-  config.cache.blocks = 512;
-  config.flush_interval_cycles = 2'000;
-  config.update_policy = core::RouterConfig::UpdatePolicy::kSelectiveInvalidate;
-
-  config.engine = sim::EngineKind::kHeap;
-  core::RouterSim heap_router(table, config);
-  const auto heap_result =
-      heap_router.run_workload(small_profile(), /*verify=*/true);
-
-  config.engine = sim::EngineKind::kCalendar;
-  core::RouterSim calendar_router(table, config);
-  const auto calendar_result =
-      calendar_router.run_workload(small_profile(), /*verify=*/true);
-
-  expect_identical(heap_result, calendar_result);
-  EXPECT_GT(heap_result.updates_applied, 0u);
-}
-
-TEST(EngineEquivalenceTest, RouterSim6BitIdenticalAcrossEngines) {
-  net::TableGen6Config table_config;
-  table_config.size = 1'500;
-  table_config.seed = 203;
-  const net::RouteTable6 table = net::generate_table6(table_config);
-
-  core::RouterConfig config = core::spal_default_config(4);
-  config.packets_per_lc = 2'000;
-  config.cache.blocks = 512;
-
-  config.engine = sim::EngineKind::kHeap;
-  core::RouterSim6 heap_router(table, config);
-  const auto heap_result =
-      heap_router.run_workload(small_profile(), /*verify=*/true);
-
-  config.engine = sim::EngineKind::kCalendar;
-  core::RouterSim6 calendar_router(table, config);
-  const auto calendar_result =
-      calendar_router.run_workload(small_profile(), /*verify=*/true);
-
-  expect_identical(heap_result, calendar_result);
 }
 
 }  // namespace

@@ -110,4 +110,37 @@ TEST(Ipv6Addr, Ordering) {
   EXPECT_EQ(Ipv6Addr(2, 3), Ipv6Addr(2, 3));
 }
 
+// The per-family bit-string helpers the templated tries are written against
+// must agree between the two overload sets on the same bit strings.
+TEST(AddrBitHelpers, Ipv4PrefixComparisonAtEveryLength) {
+  const Ipv4Addr a{0xC0A80100u};
+  const Ipv4Addr b{0xC0A801FFu};  // differs from a in the last 8 bits
+  EXPECT_EQ(spal::net::common_prefix_bits(a, b), 24);
+  EXPECT_EQ(spal::net::common_prefix_bits(a, a), 32);
+  for (int len = 0; len <= 32; ++len) {
+    EXPECT_EQ(spal::net::equal_prefix_bits(a, b, len), len <= 24) << len;
+    EXPECT_TRUE(spal::net::equal_prefix_bits(a, a, len)) << len;
+  }
+  EXPECT_EQ(spal::net::mask_to(b, 0), Ipv4Addr{0u});
+  EXPECT_EQ(spal::net::mask_to(b, 28), Ipv4Addr{0xC0A801F0u});
+  EXPECT_EQ(spal::net::mask_to(b, 32), b);
+}
+
+TEST(AddrBitHelpers, SetBitsMatchesAcrossFamilies) {
+  // The same field written into the top of an IPv4 and an IPv6 address.
+  for (int pos = 0; pos + 5 <= 32; ++pos) {
+    const Ipv4Addr v4 = spal::net::set_bits(Ipv4Addr{}, pos, 5, 0x15u);
+    const Ipv6Addr v6 = spal::net::set_bits(Ipv6Addr{}, pos, 5, 0x15u);
+    EXPECT_EQ(v4.bits(pos, 5), 0x15u);
+    EXPECT_EQ(v6.bits(pos, 5), 0x15u);
+    EXPECT_EQ(v6.hi() >> 32, v4.value()) << pos;
+  }
+  // IPv6 fields in the low half and straddling the halves.
+  for (const int pos : {60, 62, 64, 100, 123}) {
+    const Ipv6Addr v6 = spal::net::set_bits(Ipv6Addr{}, pos, 5, 0x15u);
+    EXPECT_EQ(v6.bits(pos, 5), 0x15u) << pos;
+    EXPECT_EQ(spal::net::mask_to(v6, pos), Ipv6Addr{}) << pos;
+  }
+}
+
 }  // namespace

@@ -7,7 +7,7 @@
 
 #include "net/prefix6.h"
 #include "partition/partition6.h"
-#include "trie/binary_trie6.h"
+#include "trie/binary_trie.h"
 
 namespace {
 

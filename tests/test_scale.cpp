@@ -7,18 +7,17 @@
 
 #include <algorithm>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "net/table_gen.h"
 #include "trie/binary_trie.h"
-#include "trie/binary_trie6.h"
 #include "trie/dp_trie.h"
-#include "trie/dp_trie6.h"
 #include "trie/gupta_trie.h"
 #include "trie/lc_trie.h"
-#include "trie/lc_trie6.h"
 #include "trie/lpm.h"
 #include "trie/lulea_trie.h"
+#include "trie/simd_dispatch.h"
 
 namespace {
 
@@ -34,15 +33,56 @@ const net::RouteTable& internet_table() {
 }
 
 /// Every `stride`-th entry — a sampled slice that keeps per-kind build
-/// cost test-sized while exercising the 1M table's actual prefix mix.
-net::RouteTable sampled_slice(const net::RouteTable& table,
-                              std::size_t stride) {
-  std::vector<net::RouteEntry> entries;
+/// cost test-sized while exercising the table's actual prefix mix.
+template <typename Table>
+Table sampled_slice(const Table& table, std::size_t stride) {
+  std::vector<typename decltype(table.entries())::value_type> entries;
   entries.reserve(table.size() / stride + 1);
   for (std::size_t i = 0; i < table.entries().size(); i += stride) {
     entries.push_back(table.entries()[i]);
   }
-  return net::RouteTable(std::move(entries));
+  return Table(std::move(entries));
+}
+
+/// A 20k-prefix slice of a 100k synthetic IPv6 table: the v6 counterpart
+/// the tests below run next to the 1M IPv4 slices.
+const net::RouteTable6& v6_slice() {
+  static const net::RouteTable6 slice = [] {
+    net::TableGen6Config config;
+    config.size = 100'000;
+    config.seed = 0x5ca1e66;
+    return sampled_slice(net::generate_table6(config), 5);
+  }();
+  return slice;
+}
+
+// Family-generic probe addresses: uniform, or inside a table prefix.
+net::Ipv4Addr random_in(const net::Prefix& prefix, std::mt19937_64& rng) {
+  return net::random_address_in(prefix, rng);
+}
+net::Ipv6Addr random_in(const net::Prefix6& prefix, std::mt19937_64& rng) {
+  return net::random_address_in6(prefix, rng);
+}
+template <typename Addr>
+Addr uniform_addr(std::mt19937_64& rng) {
+  if constexpr (std::is_same_v<Addr, net::Ipv4Addr>) {
+    return net::Ipv4Addr{static_cast<std::uint32_t>(rng())};
+  } else {
+    return net::Ipv6Addr{rng(), rng()};
+  }
+}
+
+/// `count` probes, alternately inside a random table prefix and uniform.
+template <typename Table>
+auto probe_addrs(const Table& table, std::mt19937_64& rng, int count) {
+  using Addr = decltype(table.entries()[0].prefix.address());
+  std::uniform_int_distribution<std::size_t> pick(0, table.size() - 1);
+  std::vector<Addr> addrs;
+  for (int i = 0; i < count; ++i) {
+    addrs.push_back(i % 2 == 0 ? random_in(table.entries()[pick(rng)].prefix, rng)
+                               : uniform_addr<Addr>(rng));
+  }
+  return addrs;
 }
 
 // --- Generator properties at 1M ---
@@ -148,28 +188,31 @@ TEST(ScaleDifferential, SampledSliceV6Kinds) {
 
 // --- Bulk builders must reproduce the per-entry structures exactly ---
 
-TEST(ScaleBulkBuild, DpSpineBuildMatchesShuffledInserts) {
-  const net::RouteTable slice = sampled_slice(internet_table(), 50);
-  const trie::DpTrie bulk(slice);
-  trie::DpTrie incremental{net::RouteTable{}};
-  std::vector<net::RouteEntry> feed(slice.entries().begin(),
-                                    slice.entries().end());
+template <typename Table>
+void expect_spine_build_matches_shuffled_inserts(const Table& slice) {
+  using Addr = decltype(slice.entries()[0].prefix.address());
+  const trie::BasicDpTrie<Addr> bulk(slice);
+  trie::BasicDpTrie<Addr> incremental{Table{}};
+  std::vector feed(slice.entries().begin(), slice.entries().end());
   std::mt19937_64 rng(0xfeed);
   std::shuffle(feed.begin(), feed.end(), rng);
   for (const auto& entry : feed) {
     incremental.insert(entry.prefix, entry.next_hop);
   }
   // The compressed structure is canonical, so both paths must agree on
-  // node count (same nodes, different arena order) and on every lookup.
+  // node count (same nodes, different arena order), storage, and on every
+  // lookup.
   EXPECT_EQ(bulk.node_count(), incremental.node_count());
-  std::uniform_int_distribution<std::size_t> pick(0, slice.size() - 1);
-  for (int i = 0; i < 10'000; ++i) {
-    const net::Ipv4Addr addr =
-        i % 2 == 0
-            ? net::random_address_in(slice.entries()[pick(rng)].prefix, rng)
-            : net::Ipv4Addr{static_cast<std::uint32_t>(rng())};
+  EXPECT_EQ(bulk.storage_bytes(), incremental.storage_bytes());
+  for (const Addr addr : probe_addrs(slice, rng, 10'000)) {
     ASSERT_EQ(bulk.lookup(addr), incremental.lookup(addr));
   }
+}
+
+TEST(ScaleBulkBuild, DpSpineBuildMatchesShuffledInserts) {
+  expect_spine_build_matches_shuffled_inserts(
+      sampled_slice(internet_table(), 50));
+  expect_spine_build_matches_shuffled_inserts(v6_slice());
 }
 
 TEST(ScaleBulkBuild, LuleaBulkMatchesReferencePaint) {
@@ -186,32 +229,52 @@ TEST(ScaleBulkBuild, LuleaBulkMatchesReferencePaint) {
 
 // --- Wide-layout regressions ---
 
+/// Restores the process-wide SIMD mode on scope exit.
+struct SimdModeGuard {
+  trie::SimdMode saved = trie::simd_mode();
+  ~SimdModeGuard() { trie::set_simd_mode(saved); }
+};
+
 // The packed 4-byte LC node caps adr at 20 bits; at 1M+ prefixes the node
 // array overflows it and the build must size-select the 8-byte wide
 // layout. `packed_limit` shrinks the ceiling so the wide path is
-// exercised without a million-node build; both layouts must agree.
-TEST(ScaleWideLayout, LcTrieWidePathMatchesPacked) {
-  const net::RouteTable slice = sampled_slice(internet_table(), 500);
-  const trie::LcTrie packed(slice);
-  const trie::LcTrie wide(slice, 0.25, 16, /*packed_limit=*/64);
+// exercised without a million-node build; both layouts, scalar and batched
+// at every runnable SIMD level, must agree with the binary-trie oracle.
+template <typename Table>
+void expect_lc_wide_path_matches_packed(const Table& slice) {
+  using Addr = decltype(slice.entries()[0].prefix.address());
+  const trie::BasicBinaryTrie<Addr> oracle(slice);
+  const trie::BasicLcTrie<Addr> packed(slice);
+  const trie::BasicLcTrie<Addr> wide(slice, 0.25, 16, /*packed_limit=*/64);
   EXPECT_FALSE(packed.wide_layout());
   ASSERT_TRUE(wide.wide_layout());
   EXPECT_EQ(wide.node_count(), packed.node_count());
   // 8-byte nodes double the node arena relative to the packed 4-byte one.
   EXPECT_GT(wide.storage_bytes(), packed.storage_bytes());
   std::mt19937_64 rng(9);
-  std::vector<net::Ipv4Addr> addrs;
-  for (int i = 0; i < 10'000; ++i) {
-    addrs.push_back(net::Ipv4Addr{static_cast<std::uint32_t>(rng())});
-  }
-  std::vector<net::NextHop> from_packed(addrs.size()), from_wide(addrs.size());
-  packed.lookup_batch(addrs.data(), addrs.size(), from_packed.data());
-  wide.lookup_batch(addrs.data(), addrs.size(), from_wide.data());
+  const std::vector<Addr> addrs = probe_addrs(slice, rng, 10'000);
+  std::vector<net::NextHop> expected(addrs.size());
   for (std::size_t i = 0; i < addrs.size(); ++i) {
-    ASSERT_EQ(from_wide[i], from_packed[i]) << addrs[i].value();
-    ASSERT_EQ(packed.lookup(addrs[i]), from_packed[i]);
-    ASSERT_EQ(wide.lookup(addrs[i]), from_packed[i]);
+    expected[i] = oracle.lookup(addrs[i]);
+    ASSERT_EQ(packed.lookup(addrs[i]), expected[i]) << i;
+    ASSERT_EQ(wide.lookup(addrs[i]), expected[i]) << i;
   }
+  SimdModeGuard guard;
+  for (int l = 0; l <= static_cast<int>(trie::detected_simd_level()); ++l) {
+    trie::set_simd_mode(static_cast<trie::SimdMode>(l));
+    std::vector<net::NextHop> from_packed(addrs.size()), from_wide(addrs.size());
+    packed.lookup_batch(addrs.data(), addrs.size(), from_packed.data());
+    wide.lookup_batch(addrs.data(), addrs.size(), from_wide.data());
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+      ASSERT_EQ(from_packed[i], expected[i]) << "simd=" << l << " key " << i;
+      ASSERT_EQ(from_wide[i], expected[i]) << "simd=" << l << " key " << i;
+    }
+  }
+}
+
+TEST(ScaleWideLayout, LcTrieWidePathMatchesPacked) {
+  expect_lc_wide_path_matches_packed(sampled_slice(internet_table(), 500));
+  expect_lc_wide_path_matches_packed(v6_slice());
 }
 
 // The 16-bit Gupta entry holds 15-bit next-hop ids; a table with 2^15+

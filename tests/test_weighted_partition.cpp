@@ -25,7 +25,6 @@
 #include "partition/partition6.h"
 #include "partition/rot_partition.h"
 #include "trie/binary_trie.h"
-#include "trie/binary_trie6.h"
 
 namespace {
 
