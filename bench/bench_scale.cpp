@@ -57,10 +57,12 @@ bench::PointOutput render_build(const bench::BenchArgs& args,
       "build,%s,%s,%zu,0,0,%.3f,%.3f,%.3f,%zu,0\n", p.family, p.trie.c_str(),
       p.table_size, p.build_ms, p.baseline_ms, speedup, p.storage_bytes);
   if (args.json) {
+    // Six decimals: spal_report re-derives speedup from the two timings,
+    // and a sub-0.1 ms build at three decimals is off by several percent.
     out.json = bench::rowf(
         "{\"label\":\"build,family=%s,trie=%s,size=%zu\",\"result\":"
         "{\"kind\":\"scale_build\",\"trie\":\"%s\",\"table_size\":%zu,"
-        "\"build_ms\":%.3f,\"baseline_ms\":%.3f,\"speedup\":%.3f,"
+        "\"build_ms\":%.6f,\"baseline_ms\":%.6f,\"speedup\":%.6f,"
         "\"storage_bytes\":%zu}}",
         p.family, p.trie.c_str(), p.table_size, p.trie.c_str(), p.table_size,
         p.build_ms, p.baseline_ms, speedup, p.storage_bytes);

@@ -4,16 +4,15 @@
 // independent of the address family: it needs a partition (home-LC mapping
 // + per-LC tables), a forwarding-engine index per LC, an LR-cache keyed by
 // addresses, and the fabric/event machinery. This template captures that
-// flow once; RouterSim (IPv4) and RouterSim6 (IPv6) are thin instantiations
-// through a Family policy:
+// flow once; RouterSim (IPv4, router_sim.h) and RouterSim6 (IPv6,
+// router_sim6.h) are its two instantiations. The routing table, partition,
+// trace generator and update types follow from the address type; a Family
+// policy supplies the forwarding engine and the family-specific hooks:
 //
 //   struct Family {
 //     using Addr;                     // packet destination type
-//     using Table;                    // routing table
-//     using Partition;                // ROT-partition (home_of, table_of)
 //     using Fe;                       // built LPM index
 //     using Oracle;                   // full-table reference index
-//     static Partition make_partition(const Table&, int lcs, const RouterConfig&);
 //     static Fe build_fe(const Table&, const RouterConfig&);
 //     static net::NextHop fe_lookup(const Fe&, const Addr&);
 //     static void fe_lookup_batch(const Fe&, const Addr*, std::size_t n,
@@ -27,12 +26,11 @@
 //     static net::NextHop oracle_lookup(const Oracle&, const Addr&);
 //     static std::uint64_t hash_bits(const Addr&);       // waiting-list key
 //     // Live route-update pipeline:
-//     using Update;                   // net::TableUpdate / net::TableUpdate6
 //     static std::vector<Update> make_updates(const Table&,
 //                                             const net::UpdateStreamConfig&);
 //     static bool fe_supports_update(const Fe&);
-//     static void fe_insert(Fe&, const PrefixT&, net::NextHop);
-//     static void fe_remove(Fe&, const PrefixT&);
+//     static void fe_insert(Fe&, const Prefix&, net::NextHop);
+//     static void fe_remove(Fe&, const Prefix&);
 //   };
 //
 // Execution model — sharded conservative-parallel DES.
@@ -126,6 +124,7 @@
 #include "sim/packet_source.h"
 #include "sim/shard_sync.h"
 #include "sim/spsc_ring.h"
+#include "trace/trace_gen.h"
 
 namespace spal::core {
 
@@ -133,10 +132,13 @@ template <typename Family>
 class BasicRouterSim {
  public:
   using Addr = typename Family::Addr;
-  using Table = typename Family::Table;
-  using Partition = typename Family::Partition;
+  using Table = net::BasicRouteTable<Addr>;
+  using Partition = partition::BasicRotPartition<Addr>;
+  using Update = net::BasicTableUpdate<Addr>;
   using Cache = cache::BasicLrCache<Addr>;
 
+  /// Builds the router: fragments `table` (if configured), builds one trie
+  /// per LC over its forwarding table, and instantiates LR-caches/fabric.
   BasicRouterSim(const Table& table, const RouterConfig& config)
       : config_(config), full_table_(table) {
     if (config.num_lcs < 1) {
@@ -144,8 +146,8 @@ class BasicRouterSim {
     }
     // Fragment the table (an unpartitioned router keeps the full table in
     // every LC, modelled as a single-partition fragmentation).
-    rot_ = std::make_unique<Partition>(Family::make_partition(
-        table, config_.partition ? config_.num_lcs : 1, config_));
+    rot_ = std::make_unique<Partition>(
+        table, config_.partition ? config_.num_lcs : 1, config_.partition_config);
     fes_.reserve(static_cast<std::size_t>(config_.num_lcs));
     for (int lc = 0; lc < config_.num_lcs; ++lc) {
       const Table& fwd = config_.partition ? rot_->table_of(lc) : full_table_;
@@ -166,9 +168,11 @@ class BasicRouterSim {
     rebuild_copies();
   }
 
-  /// Runs one simulation over per-LC destination streams. With `verify`,
-  /// every resolved next hop is checked against the full-table oracle.
-  RouterResult run(const std::vector<std::vector<Addr>>& streams, bool verify) {
+  /// Runs one simulation over per-LC destination streams (streams.size()
+  /// must equal ψ). With `verify`, every resolved next hop is checked
+  /// against the full-table oracle and mismatches are counted.
+  RouterResult run(const std::vector<std::vector<Addr>>& streams,
+                   bool verify = false) {
     if (streams.size() != static_cast<std::size_t>(config_.num_lcs)) {
       throw std::invalid_argument("RouterSim::run: one stream per LC required");
     }
@@ -672,8 +676,23 @@ class BasicRouterSim {
     return result_;
   }
 
+  /// Convenience: generates streams from a workload profile and runs.
+  /// Streams are drawn from the whole routing table (the union of the
+  /// partitions).
+  RouterResult run_workload(const trace::WorkloadProfile& profile,
+                            bool verify = false) {
+    const trace::BasicTraceGenerator<Addr> generator(profile, full_table_);
+    std::vector<std::vector<Addr>> streams;
+    streams.reserve(static_cast<std::size_t>(config_.num_lcs));
+    for (int lc = 0; lc < config_.num_lcs; ++lc) {
+      streams.push_back(generator.generate(lc, config_.packets_per_lc));
+    }
+    return run(streams, verify);
+  }
+
   const RouterConfig& config() const { return config_; }
-  const Partition& partition() const { return *rot_; }
+  /// Partition diagnostics (control bits, per-LC table sizes).
+  const Partition& rot() const { return *rot_; }
   /// The full (unfragmented) routing table the router was built from.
   const Table& table() const { return full_table_; }
 
@@ -704,7 +723,7 @@ class BasicRouterSim {
   }
 
   /// Per-LC forwarding-index storage in bytes.
-  std::vector<std::size_t> fe_storage_bytes() const {
+  std::vector<std::size_t> trie_storage_bytes() const {
     std::vector<std::size_t> sizes;
     sizes.reserve(fes_.size());
     for (const auto& fe : fes_) sizes.push_back(Family::fe_storage(fe));
@@ -716,7 +735,7 @@ class BasicRouterSim {
   /// batch > 1, the scalar path otherwise. Results are bit-identical either
   /// way; this does not touch simulation state — the throughput benches use
   /// it to measure real ns/lookup on the per-LC structures.
-  void fe_host_lookup(int lc, const Addr* keys, std::size_t n,
+  void host_fe_lookup(int lc, const Addr* keys, std::size_t n,
                       net::NextHop* out, std::size_t batch) const {
     const auto& fe = fes_[static_cast<std::size_t>(lc)];
     if (batch <= 1) {
@@ -2112,7 +2131,7 @@ class BasicRouterSim {
   /// any in-flight fill was either produced after the update applied
   /// (fresh), or was injected before this invalidation by the same home
   /// and therefore already landed (fabric FIFO) and been dropped here.
-  void invalidate_cache(Shard& sh, int lc, const typename Family::Update& update) {
+  void invalidate_cache(Shard& sh, int lc, const Update& update) {
     Cache& cache = *caches_[static_cast<std::size_t>(lc)];
     if (config_.update_policy == RouterConfig::UpdatePolicy::kSelectiveInvalidate) {
       const std::size_t dropped = cache.invalidate_matching(update.prefix);
@@ -2945,7 +2964,7 @@ class BasicRouterSim {
   // Live-update pipeline state. lc_tables_ are the mutable per-LC fragments
   // (materialized only when the pipeline is on); the dirty flags make run()
   // rebuild FEs / oracle that a prior run's updates mutated.
-  std::vector<typename Family::Update> updates_;
+  std::vector<Update> updates_;
   std::vector<Table> lc_tables_;
   std::vector<std::uint64_t> update_inject_time_;   // per update
   std::vector<std::uint64_t> update_settle_time_;   // kSettlePending in flight

@@ -9,7 +9,6 @@
 #include "cache/lr_cache.h"
 #include "core/memory_model.h"
 #include "fabric/fabric.h"
-#include "partition/partition6.h"
 #include "partition/rot_partition.h"
 #include "sim/calendar_queue.h"
 #include "sim/metrics.h"
@@ -45,10 +44,8 @@ struct RouterConfig {
   int threads = 0;
 
   bool partition = true;               ///< SPAL table fragmentation
+  /// Explicit control bits and traffic-aware weights (both families).
   partition::PartitionConfig partition_config;
-  /// IPv6 partition knobs (RouterSim6); mirrors partition_config, including
-  /// the traffic-aware `weights` vector.
-  partition::Partition6Config partition6_config;
 
   bool use_lr_cache = true;
   cache::LrCacheConfig cache;          ///< per-LC LR-cache (β, γ, ...)

@@ -34,7 +34,6 @@
 #include "net/table_gen.h"
 #include "net/update_stream.h"
 #include "partition/bit_selector.h"
-#include "partition/partition6.h"
 #include "partition/rot_partition.h"
 #include "sim/calendar_queue.h"
 #include "sim/engine.h"

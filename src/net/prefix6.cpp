@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <unordered_set>
 
 namespace spal::net {
@@ -46,104 +43,7 @@ std::optional<Prefix6> Prefix6::parse(std::string_view text) {
   return Prefix6(Ipv6Addr{hi, lo}, length);
 }
 
-RouteTable6::RouteTable6(std::vector<RouteEntry6> entries)
-    : entries_(std::move(entries)) {
-  normalize();
-}
-
-void RouteTable6::normalize() {
-  std::stable_sort(entries_.begin(), entries_.end(),
-                   [](const RouteEntry6& a, const RouteEntry6& b) {
-                     return std::tuple(a.prefix.address(), a.prefix.length()) <
-                            std::tuple(b.prefix.address(), b.prefix.length());
-                   });
-  auto last_wins = std::unique(
-      entries_.rbegin(), entries_.rend(),
-      [](const RouteEntry6& a, const RouteEntry6& b) { return a.prefix == b.prefix; });
-  entries_.erase(entries_.begin(), last_wins.base());
-}
-
-void RouteTable6::add(const Prefix6& prefix, NextHop next_hop) {
-  const auto pos = std::lower_bound(
-      entries_.begin(), entries_.end(), prefix,
-      [](const RouteEntry6& e, const Prefix6& p) {
-        return std::tuple(e.prefix.address(), e.prefix.length()) <
-               std::tuple(p.address(), p.length());
-      });
-  if (pos != entries_.end() && pos->prefix == prefix) {
-    pos->next_hop = next_hop;
-  } else {
-    entries_.insert(pos, RouteEntry6{prefix, next_hop});
-  }
-}
-
-bool RouteTable6::remove(const Prefix6& prefix) {
-  const auto pos = std::lower_bound(
-      entries_.begin(), entries_.end(), prefix,
-      [](const RouteEntry6& e, const Prefix6& p) {
-        return std::tuple(e.prefix.address(), e.prefix.length()) <
-               std::tuple(p.address(), p.length());
-      });
-  if (pos == entries_.end() || pos->prefix != prefix) return false;
-  entries_.erase(pos);
-  return true;
-}
-
-std::optional<NextHop> RouteTable6::find(const Prefix6& prefix) const {
-  const auto pos = std::lower_bound(
-      entries_.begin(), entries_.end(), prefix,
-      [](const RouteEntry6& e, const Prefix6& p) {
-        return std::tuple(e.prefix.address(), e.prefix.length()) <
-               std::tuple(p.address(), p.length());
-      });
-  if (pos == entries_.end() || pos->prefix != prefix) return std::nullopt;
-  return pos->next_hop;
-}
-
-NextHop RouteTable6::lookup_linear(const Ipv6Addr& addr) const {
-  int best_len = -1;
-  NextHop best = kNoRoute;
-  for (const RouteEntry6& e : entries_) {
-    if (e.prefix.length() > best_len && e.prefix.matches(addr)) {
-      best_len = e.prefix.length();
-      best = e.next_hop;
-    }
-  }
-  return best;
-}
-
-std::array<std::size_t, Prefix6::kMaxLength + 1> RouteTable6::length_histogram() const {
-  std::array<std::size_t, Prefix6::kMaxLength + 1> hist{};
-  for (const RouteEntry6& e : entries_) {
-    hist[static_cast<std::size_t>(e.prefix.length())]++;
-  }
-  return hist;
-}
-
-void RouteTable6::save(std::ostream& out) const {
-  for (const RouteEntry6& e : entries_) {
-    out << e.prefix.to_string() << ' ' << e.next_hop << '\n';
-  }
-}
-
-std::optional<RouteTable6> RouteTable6::load(std::istream& in) {
-  std::vector<RouteEntry6> entries;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string prefix_text;
-    NextHop next_hop = kNoRoute;
-    if (!(fields >> prefix_text >> next_hop)) return std::nullopt;
-    const auto prefix = Prefix6::parse(prefix_text);
-    if (!prefix) return std::nullopt;
-    entries.push_back(RouteEntry6{*prefix, next_hop});
-  }
-  return RouteTable6(std::move(entries));
-}
-
-RouteTable6 generate_table6(const TableGen6Config& config) {
-  std::mt19937_64 rng(config.seed);
+std::array<double, Prefix6::kMaxLength + 1> TableGen6Config::default_length_weights() {
   // Length mass shaped after global IPv6 BGP tables: /48 dominates, /32
   // spikes (RIR allocations), body over /29-/44, thin /64+ tail.
   std::array<double, Prefix6::kMaxLength + 1> weights{};
@@ -161,6 +61,12 @@ RouteTable6 generate_table6(const TableGen6Config& config) {
       weights[static_cast<std::size_t>(len)] = 0.3;
     }
   }
+  return weights;
+}
+
+RouteTable6 generate_table6(const TableGen6Config& config) {
+  std::mt19937_64 rng(config.seed);
+  const auto weights = TableGen6Config::default_length_weights();
   std::discrete_distribution<int> length_dist(weights.begin(), weights.end());
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   std::uniform_int_distribution<std::uint64_t> word;
@@ -196,7 +102,7 @@ RouteTable6 generate_table6(const TableGen6Config& config) {
       }
     }
     if (parent != nullptr) {
-      addr = random_address_in6(*parent, rng);
+      addr = random_address_in(*parent, rng);
     } else {
       // Global unicast 2000::/3.
       const std::uint64_t hi = (word(rng) & 0x1fffffffffffffffULL) | 0x2000000000000000ULL;
@@ -219,7 +125,7 @@ RouteTable6 make_rt6_internet(std::size_t size) {
   return generate_table6(config);
 }
 
-Ipv6Addr random_address_in6(const Prefix6& prefix, std::mt19937_64& rng) {
+Ipv6Addr random_address_in(const Prefix6& prefix, std::mt19937_64& rng) {
   const int len = prefix.length();
   const std::uint64_t hi_mask =
       len <= 0 ? 0 : (len >= 64 ? ~std::uint64_t{0} : ~std::uint64_t{0} << (64 - len));

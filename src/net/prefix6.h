@@ -2,20 +2,17 @@
 // feasibly applicable to IPv6"; Sec. 4 notes the SRAM reduction "will be
 // much larger under IPv6").
 //
-// Mirrors the IPv4 types in prefix.h / route_table.h at 128 bits. Only the
-// pieces the SPAL experiments need are provided: tri-state bit access for
-// the partitioner, longest-prefix matching, and summary statistics.
+// Prefix6 mirrors the IPv4 Prefix (prefix.h) at 128 bits: tri-state bit
+// access for the partitioner and prefix matching. The IPv6 routing table is
+// route_table.h's BasicRouteTable instantiated on Ipv6Addr.
 #pragma once
 
 #include <array>
 #include <compare>
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <random>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "net/ip_addr.h"
 #include "net/prefix.h"
@@ -81,47 +78,10 @@ class Prefix6 {
   std::uint8_t length_ = 0;
 };
 
-struct RouteEntry6 {
-  Prefix6 prefix;
-  NextHop next_hop = kNoRoute;
+extern template class BasicRouteTable<Ipv6Addr>;
 
-  friend constexpr auto operator<=>(const RouteEntry6&, const RouteEntry6&) = default;
-};
-
-/// Sorted, de-duplicated IPv6 routing table (latest insertion wins).
-class RouteTable6 {
- public:
-  RouteTable6() = default;
-  explicit RouteTable6(std::vector<RouteEntry6> entries);
-
-  void add(const Prefix6& prefix, NextHop next_hop);
-
-  /// Removes an exact prefix; false if absent.
-  bool remove(const Prefix6& prefix);
-
-  /// Exact-prefix lookup (not LPM); nullopt if absent.
-  std::optional<NextHop> find(const Prefix6& prefix) const;
-
-  std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-  std::span<const RouteEntry6> entries() const { return entries_; }
-
-  /// Reference longest-prefix match by linear scan (oracle).
-  NextHop lookup_linear(const Ipv6Addr& addr) const;
-
-  std::array<std::size_t, Prefix6::kMaxLength + 1> length_histogram() const;
-
-  /// Serialization: one "<full-hex-addr>/len next_hop" line per entry.
-  void save(std::ostream& out) const;
-  static std::optional<RouteTable6> load(std::istream& in);
-
-  friend bool operator==(const RouteTable6&, const RouteTable6&) = default;
-
- private:
-  void normalize();
-
-  std::vector<RouteEntry6> entries_;
-};
+using RouteEntry6 = BasicRouteEntry<Ipv6Addr>;
+using RouteTable6 = BasicRouteTable<Ipv6Addr>;
 
 /// Synthetic IPv6 BGP-like table: mass concentrated on /48 and /32 with the
 /// /29-/44 body and a /64+ tail observed in global v6 tables, within the
@@ -131,6 +91,11 @@ struct TableGen6Config {
   std::uint64_t seed = 1;
   std::uint32_t next_hops = 16;
   double nested_fraction = 0.30;
+
+  /// Per-length weights (index = prefix length 0..128) shaped after global
+  /// IPv6 BGP tables; v6 update streams draw announcement lengths from the
+  /// same model.
+  static std::array<double, Prefix6::kMaxLength + 1> default_length_weights();
 };
 
 RouteTable6 generate_table6(const TableGen6Config& config);
@@ -140,21 +105,6 @@ RouteTable6 generate_table6(const TableGen6Config& config);
 RouteTable6 make_rt6_internet(std::size_t size = 220'000);
 
 /// Uniformly random address inside `prefix` (host bits randomized).
-Ipv6Addr random_address_in6(const Prefix6& prefix, std::mt19937_64& rng);
-
-/// Prefix and table types of an address type, for code templated on the
-/// address type (the tries in src/trie).
-template <typename Addr>
-struct AddrFamily;
-template <>
-struct AddrFamily<Ipv4Addr> {
-  using Prefix = net::Prefix;
-  using RouteTable = net::RouteTable;
-};
-template <>
-struct AddrFamily<Ipv6Addr> {
-  using Prefix = Prefix6;
-  using RouteTable = RouteTable6;
-};
+Ipv6Addr random_address_in(const Prefix6& prefix, std::mt19937_64& rng);
 
 }  // namespace spal::net

@@ -59,18 +59,6 @@ std::vector<TableUpdate> generate_update_stream(const RouteTable& initial,
   return updates;
 }
 
-bool apply_update(RouteTable& table, const TableUpdate& update) {
-  switch (update.kind) {
-    case UpdateKind::kAnnounce:
-    case UpdateKind::kHopChange:
-      table.add(update.prefix, update.next_hop);
-      return true;
-    case UpdateKind::kWithdraw:
-      return table.remove(update.prefix);
-  }
-  return false;
-}
-
 std::vector<TableUpdate6> generate_update_stream6(const RouteTable6& initial,
                                                   const UpdateStreamConfig& config) {
   std::mt19937_64 rng(config.seed);
@@ -79,21 +67,7 @@ std::vector<TableUpdate6> generate_update_stream6(const RouteTable6& initial,
       0, config.next_hops == 0 ? 0 : config.next_hops - 1);
   // Announcement lengths follow the v6 table generator's BGP-shaped model
   // (/48 dominant, /32 spike); see generate_table6.
-  std::array<double, Prefix6::kMaxLength + 1> weights{};
-  weights[29] = 2.0;
-  weights[32] = 22.0;
-  weights[36] = 4.0;
-  weights[40] = 5.0;
-  weights[44] = 6.0;
-  weights[48] = 48.0;
-  weights[52] = 2.0;
-  weights[56] = 4.0;
-  weights[64] = 6.0;
-  for (int len = 30; len < 48; ++len) {
-    if (weights[static_cast<std::size_t>(len)] == 0.0) {
-      weights[static_cast<std::size_t>(len)] = 0.3;
-    }
-  }
+  const auto weights = TableGen6Config::default_length_weights();
   std::discrete_distribution<int> length_dist(weights.begin(), weights.end());
   std::uniform_int_distribution<std::uint64_t> word;
 
@@ -137,18 +111,6 @@ std::vector<TableUpdate6> generate_update_stream6(const RouteTable6& initial,
     }
   }
   return updates;
-}
-
-bool apply_update(RouteTable6& table, const TableUpdate6& update) {
-  switch (update.kind) {
-    case UpdateKind::kAnnounce:
-    case UpdateKind::kHopChange:
-      table.add(update.prefix, update.next_hop);
-      return true;
-    case UpdateKind::kWithdraw:
-      return table.remove(update.prefix);
-  }
-  return false;
 }
 
 }  // namespace spal::net

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "net/prefix6.h"
-#include "net/route_table.h"
 
 namespace spal::net {
 
@@ -23,13 +22,17 @@ enum class UpdateKind : std::uint8_t {
   kHopChange,  ///< an existing prefix's next hop changes (re-announcement)
 };
 
-struct TableUpdate {
+template <typename Addr>
+struct BasicTableUpdate {
   UpdateKind kind;
-  Prefix prefix;
+  PrefixOf<Addr> prefix;
   NextHop next_hop = kNoRoute;  ///< unused for withdrawals
 
-  friend constexpr auto operator<=>(const TableUpdate&, const TableUpdate&) = default;
+  friend constexpr auto operator<=>(const BasicTableUpdate&,
+                                    const BasicTableUpdate&) = default;
 };
+using TableUpdate = BasicTableUpdate<Ipv4Addr>;
+using TableUpdate6 = BasicTableUpdate<Ipv6Addr>;
 
 struct UpdateStreamConfig {
   std::size_t count = 1'000;
@@ -47,24 +50,25 @@ struct UpdateStreamConfig {
 std::vector<TableUpdate> generate_update_stream(const RouteTable& initial,
                                                 const UpdateStreamConfig& config);
 
-/// Applies one update to `table`. Returns false if the update was a no-op
-/// (withdrawing an absent prefix); generated streams never produce those.
-bool apply_update(RouteTable& table, const TableUpdate& update);
-
-/// IPv6 counterpart of TableUpdate.
-struct TableUpdate6 {
-  UpdateKind kind;
-  Prefix6 prefix;
-  NextHop next_hop = kNoRoute;  ///< unused for withdrawals
-
-  friend constexpr auto operator<=>(const TableUpdate6&, const TableUpdate6&) = default;
-};
-
 /// IPv6 update stream: same kind mix as the v4 generator; announcements use
 /// the v6 table generator's length model inside 2000::/3.
 std::vector<TableUpdate6> generate_update_stream6(const RouteTable6& initial,
                                                   const UpdateStreamConfig& config);
 
-bool apply_update(RouteTable6& table, const TableUpdate6& update);
+/// Applies one update to `table`. Returns false if the update was a no-op
+/// (withdrawing an absent prefix); generated streams never produce those.
+template <typename Addr>
+bool apply_update(BasicRouteTable<Addr>& table,
+                  const BasicTableUpdate<Addr>& update) {
+  switch (update.kind) {
+    case UpdateKind::kAnnounce:
+    case UpdateKind::kHopChange:
+      table.add(update.prefix, update.next_hop);
+      return true;
+    case UpdateKind::kWithdraw:
+      return table.remove(update.prefix);
+  }
+  return false;
+}
 
 }  // namespace spal::net

@@ -13,6 +13,10 @@
 // bit is evaluated over all current subsets jointly and one common bit is
 // chosen for every subset (the partitioning hardware examines the same bit
 // positions of every destination address).
+//
+// The selector reads only the tri-state bit view of prefixes, so it serves
+// IPv4 and IPv6 tables alike: each function is a template over the address
+// type, explicitly instantiated for Ipv4Addr and Ipv6Addr.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +24,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/route_table.h"
+#include "net/prefix6.h"
 
 namespace spal::partition {
 
@@ -35,7 +39,9 @@ struct BitStats {
   }
 };
 
-BitStats compute_bit_stats(std::span<const net::RouteEntry> entries, int bit);
+template <typename Addr>
+BitStats compute_bit_stats(std::span<const net::BasicRouteEntry<Addr>> entries,
+                           int bit);
 
 /// Joint score of one candidate bit across every current subset. The paper
 /// states the two criteria but not how to arbitrate between them; since
@@ -57,18 +63,21 @@ struct BitScore {
   }
 };
 
-struct BitSelectorConfig {
-  /// Highest bit position considered, inclusive. The paper scans 0..31 but
-  /// notes Criterion (1) itself rules out large ν (most prefixes are
-  /// <= /24, so a high ν would replicate nearly everything).
-  int max_bit = 31;
-};
+/// Highest candidate bit position, inclusive, unless a caller narrows it.
+/// IPv4 scans all of 0..31, as the paper does, though Criterion (1) itself
+/// rules out large ν (most prefixes are <= /24, so a high ν would replicate
+/// nearly everything). IPv6 draws from the 64-bit routing half: /48-heavy
+/// v6 tables make later bits mostly "*" anyway.
+template <typename Addr>
+inline constexpr int kDefaultMaxBit = (Addr::kBits < 64 ? Addr::kBits : 64) - 1;
 
-/// Greedily selects `count` control bits for fragmenting `table`, applying
-/// the two criteria recursively as described in Sec. 3.1. Returns the chosen
-/// bit positions in selection order.
-std::vector<int> select_control_bits(const net::RouteTable& table, int count,
-                                     const BitSelectorConfig& config = {});
+/// Greedily selects `count` control bits for fragmenting `table` from the
+/// positions 0..max_bit, applying the two criteria recursively as described
+/// in Sec. 3.1. Returns the chosen bit positions in selection order.
+template <typename Addr>
+std::vector<int> select_control_bits(const net::BasicRouteTable<Addr>& table,
+                                     int count,
+                                     int max_bit = kDefaultMaxBit<Addr>);
 
 /// Score of a specific bit set: splits `table` by `bits` and reports the
 /// summed subset sizes and max-min size spread. Used by tests and the

@@ -16,14 +16,15 @@ int ceil_log2(int value) {
 
 }  // namespace
 
-RotPartition::RotPartition(const net::RouteTable& table, int num_lcs,
-                           const PartitionConfig& config) {
+template <typename Addr>
+BasicRotPartition<Addr>::BasicRotPartition(const RouteTable& table, int num_lcs,
+                                           const PartitionConfig& config) {
   const int eta = ceil_log2(num_lcs);
   const bool weighted = eta > 0 && !uniform_weights(config.weights);
   control_bits_ = config.control_bits;
   if (!weighted) {
     if (control_bits_.empty() && eta > 0) {
-      control_bits_ = select_control_bits(table, eta, config.selector);
+      control_bits_ = select_control_bits(table, eta);
     }
     auto lc_entries = generic::assign_groups(
         table.entries(), std::span<const int>(control_bits_), num_lcs,
@@ -51,10 +52,9 @@ RotPartition::RotPartition(const net::RouteTable& table, int num_lcs,
   // packing real freedom to pair hot groups with cold ones.
   std::vector<std::vector<int>> candidates;
   if (control_bits_.empty()) {
-    candidates.push_back(select_control_bits(table, eta, config.selector));
+    candidates.push_back(select_control_bits(table, eta));
     for (const int bits : {eta, eta + 1}) {
-      auto traffic =
-          select_control_bits_weighted(table, weights, bits, config.selector);
+      auto traffic = select_control_bits_weighted(table, weights, bits);
       if (std::find(candidates.begin(), candidates.end(), traffic) ==
           candidates.end()) {
         candidates.push_back(std::move(traffic));
@@ -92,43 +92,29 @@ RotPartition::RotPartition(const net::RouteTable& table, int num_lcs,
   }
 }
 
-std::vector<std::size_t> RotPartition::partition_sizes() const {
+template <typename Addr>
+std::vector<std::size_t> BasicRotPartition<Addr>::partition_sizes() const {
   std::vector<std::size_t> sizes;
   sizes.reserve(tables_.size());
   for (const auto& t : tables_) sizes.push_back(t.size());
   return sizes;
 }
 
-std::vector<int> RotPartition::homes_of(const net::Prefix& prefix) const {
-  if (control_bits_.empty()) return {0};
-  // Enumerate the groups compatible with the prefix's tri-state control
-  // bits — the same rule assign_groups replicates entries by.
-  std::vector<std::uint32_t> groups{0};
-  for (const int bit : control_bits_) {
-    const net::PrefixBit value = prefix.bit(bit);
-    const std::size_t count = groups.size();
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint32_t base = groups[i] << 1;
-      switch (value) {
-        case net::PrefixBit::kZero:
-          groups[i] = base;
-          break;
-        case net::PrefixBit::kOne:
-          groups[i] = base | 1u;
-          break;
-        case net::PrefixBit::kStar:
-          groups[i] = base;
-          groups.push_back(base | 1u);
-          break;
-      }
-    }
-  }
+template <typename Addr>
+std::vector<int> BasicRotPartition<Addr>::homes_of(const Prefix& prefix) const {
+  // Every group compatible with the prefix's tri-state control bits — the
+  // same rule the fragmenter replicates entries by.
   std::vector<int> lcs;
-  for (const std::uint32_t g : groups) lcs.push_back(group_to_lc_[g]);
+  for (const std::uint32_t g : generic::group_patterns(prefix, control_bits())) {
+    lcs.push_back(group_to_lc_[g]);
+  }
   std::sort(lcs.begin(), lcs.end());
   lcs.erase(std::unique(lcs.begin(), lcs.end()), lcs.end());
   return lcs;
 }
+
+template class BasicRotPartition<net::Ipv4Addr>;
+template class BasicRotPartition<net::Ipv6Addr>;
 
 FragmentSizing fragment_sizing(const RotPartition& partition,
                                std::size_t input_prefixes, int replicas) {
@@ -183,10 +169,11 @@ int min_lcs_for_budget(const net::RouteTable& table,
                        std::size_t budget_bytes, double bytes_per_prefix,
                        int max_lcs, const PartitionConfig& config) {
   for (int psi = 1; psi <= max_lcs; ++psi) {
-    const RotPartition partition(table, psi, config);
-    const FragmentSizing sizing = fragment_sizing(partition, table.size());
+    const std::vector<std::size_t> sizes =
+        RotPartition(table, psi, config).partition_sizes();
     const double worst =
-        static_cast<double>(sizing.max_prefixes) * bytes_per_prefix;
+        static_cast<double>(*std::max_element(sizes.begin(), sizes.end())) *
+        bytes_per_prefix;
     if (worst <= static_cast<double>(budget_bytes)) return psi;
   }
   return 0;

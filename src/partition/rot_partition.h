@@ -7,22 +7,26 @@
 // ψ ("3, 5, 6, 7, etc.") without spelling out the mapping; here the 2^η
 // groups are packed onto ψ LCs by longest-processing-time greedy so that
 // per-LC prefix counts stay balanced (documented in DESIGN.md).
+//
+// One class template over the address type serves IPv4 (RotPartition) and
+// the paper's Sec. 6 IPv6 extension (RotPartition6): same two criteria and
+// ROT-partition semantics over 32- or 128-bit prefixes.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "net/route_table.h"
+#include "net/prefix6.h"
 #include "partition/bit_selector.h"
 
 namespace spal::partition {
 
+/// Partition knobs, shared by both address families.
 struct PartitionConfig {
   /// Explicit control bits; if empty they are selected by
   /// select_control_bits() per the paper's two criteria.
   std::vector<int> control_bits;
-  BitSelectorConfig selector;
   /// Per-prefix popularity weights, parallel to the input table's entries
   /// (e.g. TraceGenerator::prefix_weights()). Empty or uniform weights take
   /// the count-balanced path exactly; otherwise control-bit selection and
@@ -33,20 +37,24 @@ struct PartitionConfig {
 
 /// A fragmented routing table: one forwarding table per LC plus the mapping
 /// machinery the FIL's LR1 detector implements in hardware.
-class RotPartition {
+template <typename Addr>
+class BasicRotPartition {
  public:
+  using Prefix = net::PrefixOf<Addr>;
+  using RouteTable = net::BasicRouteTable<Addr>;
+
   /// Fragments `table` for a router with `num_lcs` line cards (any integer
   /// >= 1). With num_lcs == 1 there is a single partition equal to `table`
   /// and no control bits.
-  RotPartition(const net::RouteTable& table, int num_lcs,
-               const PartitionConfig& config = {});
+  BasicRotPartition(const RouteTable& table, int num_lcs,
+                    const PartitionConfig& config = {});
 
   int num_lcs() const { return static_cast<int>(tables_.size()); }
   std::span<const int> control_bits() const { return control_bits_; }
 
   /// The η-bit group pattern of an address (its control bits, in selection
   /// order, packed MSB-first).
-  std::uint32_t group_of(net::Ipv4Addr addr) const {
+  std::uint32_t group_of(Addr addr) const {
     std::uint32_t group = 0;
     for (const int bit : control_bits_) group = (group << 1) | static_cast<std::uint32_t>(addr.bit(bit));
     return group;
@@ -54,15 +62,15 @@ class RotPartition {
 
   /// Home LC of an address: where its lookup is performed on an LR-cache
   /// miss. This is what LR1 computes from the destination address.
-  int home_of(net::Ipv4Addr addr) const {
+  int home_of(Addr addr) const {
     return group_to_lc_[group_of(addr)];
   }
 
   /// Forwarding table of one LC.
-  const net::RouteTable& table_of(int lc) const {
+  const RouteTable& table_of(int lc) const {
     return tables_[static_cast<std::size_t>(lc)];
   }
-  std::span<const net::RouteTable> tables() const { return tables_; }
+  std::span<const RouteTable> tables() const { return tables_; }
 
   /// Which LC each of the 2^η groups is assigned to.
   std::span<const int> group_to_lc() const { return group_to_lc_; }
@@ -71,7 +79,7 @@ class RotPartition {
   /// A prefix replicates into each group compatible with its tri-state
   /// control bits (a kStar control bit matches both groups), mirroring how
   /// the fragmenter assigns entries. Result is sorted and de-duplicated.
-  std::vector<int> homes_of(const net::Prefix& prefix) const;
+  std::vector<int> homes_of(const Prefix& prefix) const;
 
   /// Per-LC prefix counts (the partition sizes Sec. 4 reports).
   std::vector<std::size_t> partition_sizes() const;
@@ -79,8 +87,14 @@ class RotPartition {
  private:
   std::vector<int> control_bits_;
   std::vector<int> group_to_lc_;           // size 2^η
-  std::vector<net::RouteTable> tables_;    // size ψ
+  std::vector<RouteTable> tables_;         // size ψ
 };
+
+extern template class BasicRotPartition<net::Ipv4Addr>;
+extern template class BasicRotPartition<net::Ipv6Addr>;
+
+using RotPartition = BasicRotPartition<net::Ipv4Addr>;
+using RotPartition6 = BasicRotPartition<net::Ipv6Addr>;
 
 /// Fragment-sizing summary of a partition (what Sec. 4 reads off its
 /// partition-size tables): the per-LC fragment extremes plus the replication

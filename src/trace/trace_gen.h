@@ -20,6 +20,10 @@
 // The five profiles below differ in population size, skew and burstiness,
 // tuned so a 4K-block 4-way LR-cache lands in the >=0.93 hit-rate band the
 // paper reports for its traces.
+//
+// The generator is one class template over the address type: the same
+// locality model drives IPv4 (TraceGenerator) and IPv6 (TraceGenerator6)
+// streams.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "net/route_table.h"
+#include "net/prefix6.h"
 
 namespace spal::trace {
 
@@ -74,14 +78,16 @@ WorkloadProfile profile_flash_crowd();
 WorkloadProfile profile_scan();
 
 /// Generates per-LC destination streams for one workload over one table.
-class TraceGenerator {
+template <typename Addr>
+class BasicTraceGenerator {
  public:
-  TraceGenerator(const WorkloadProfile& profile, const net::RouteTable& table);
+  BasicTraceGenerator(const WorkloadProfile& profile,
+                      const net::BasicRouteTable<Addr>& table);
 
   /// `count` destinations for line card `lc`. Deterministic in
   /// (profile.seed, lc); different lc values give different sequences over
   /// the same flow population.
-  std::vector<net::Ipv4Addr> generate(int lc, std::size_t count) const;
+  std::vector<Addr> generate(int lc, std::size_t count) const;
 
   const WorkloadProfile& profile() const { return profile_; }
   std::size_t flow_count() const { return flow_addresses_.size(); }
@@ -96,10 +102,16 @@ class TraceGenerator {
  private:
   WorkloadProfile profile_;
   std::size_t table_size_ = 0;
-  std::vector<net::Ipv4Addr> flow_addresses_;  ///< rank-ordered (hottest first)
+  std::vector<Addr> flow_addresses_;           ///< rank-ordered (hottest first)
   std::vector<std::size_t> flow_entries_;      ///< source table entry per flow
   std::vector<double> popularity_cdf_;         ///< Zipf CDF over ranks
 };
+
+extern template class BasicTraceGenerator<net::Ipv4Addr>;
+extern template class BasicTraceGenerator<net::Ipv6Addr>;
+
+using TraceGenerator = BasicTraceGenerator<net::Ipv4Addr>;
+using TraceGenerator6 = BasicTraceGenerator<net::Ipv6Addr>;
 
 /// Stream summary used by tests and the trace_locality example.
 struct TraceStats {

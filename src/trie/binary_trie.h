@@ -20,8 +20,8 @@ namespace spal::trie {
 template <typename Addr>
 class BasicBinaryTrie final : public LpmBase<Addr> {
  public:
-  using Prefix = typename net::AddrFamily<Addr>::Prefix;
-  using RouteTable = typename net::AddrFamily<Addr>::RouteTable;
+  using Prefix = net::PrefixOf<Addr>;
+  using RouteTable = net::BasicRouteTable<Addr>;
 
   BasicBinaryTrie();
   explicit BasicBinaryTrie(const RouteTable& table);

@@ -29,8 +29,8 @@ namespace spal::trie {
 template <typename Addr>
 class BasicDpTrie final : public LpmBase<Addr> {
  public:
-  using Prefix = typename net::AddrFamily<Addr>::Prefix;
-  using RouteTable = typename net::AddrFamily<Addr>::RouteTable;
+  using Prefix = net::PrefixOf<Addr>;
+  using RouteTable = net::BasicRouteTable<Addr>;
 
   /// SRAM bytes per node (see the storage model above).
   static constexpr std::size_t kNodeBytes =

@@ -33,7 +33,7 @@ BasicLcTrie<Addr>::BasicLcTrie(const RouteTable& table, double fill_factor,
   // open internal prefixes yields each entry's covering chain.
   const auto entries = table.entries();
   struct Open {
-    typename net::AddrFamily<Addr>::Prefix prefix;
+    net::PrefixOf<Addr> prefix;
     std::int32_t pre_index;
   };
   std::vector<Open> stack;

@@ -88,7 +88,7 @@ enum LcArena : std::size_t {
 template <typename Addr>
 class BasicLcTrie final : public LpmBase<Addr> {
  public:
-  using RouteTable = typename net::AddrFamily<Addr>::RouteTable;
+  using RouteTable = net::BasicRouteTable<Addr>;
 
   /// `max_branch` caps level compression. The cap is applied per address
   /// type: IPv4 caps only the root's branch at `max_branch`; IPv6 caps every

@@ -12,7 +12,6 @@ using namespace spal;
 using net::Ipv4Addr;
 using net::Prefix;
 using net::RouteTable;
-using partition::BitSelectorConfig;
 using partition::compute_bit_stats;
 using partition::evaluate_bits;
 using partition::select_control_bits;
@@ -159,9 +158,7 @@ TEST(SelectControlBits, MaxBitConfigIsRespected) {
   config.size = 5'000;
   config.seed = 75;
   const RouteTable table = net::generate_table(config);
-  BitSelectorConfig selector;
-  selector.max_bit = 7;
-  for (const int bit : select_control_bits(table, 3, selector)) {
+  for (const int bit : select_control_bits(table, 3, 7)) {
     EXPECT_LE(bit, 7);
   }
 }

@@ -80,7 +80,7 @@ TEST(V6Family, FeAndOracleAgree) {
   std::uniform_int_distribution<std::size_t> pick(0, table.size() - 1);
   for (int i = 0; i < 500; ++i) {
     const auto addr =
-        net::random_address_in6(table.entries()[pick(rng)].prefix, rng);
+        net::random_address_in(table.entries()[pick(rng)].prefix, rng);
     EXPECT_EQ(core::V6Family::fe_lookup(fe, addr),
               core::V6Family::oracle_lookup(oracle, addr));
   }

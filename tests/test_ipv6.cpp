@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "net/prefix6.h"
-#include "partition/partition6.h"
+#include "partition/rot_partition.h"
 #include "trie/binary_trie.h"
 
 namespace {
@@ -133,7 +133,7 @@ TEST(TableGen6, RandomAddressStaysInside) {
   std::mt19937_64 rng(1);
   const Prefix6 prefix = p6(0x20010DB800000000ULL, 0, 48);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_TRUE(prefix.matches(net::random_address_in6(prefix, rng)));
+    EXPECT_TRUE(prefix.matches(net::random_address_in(prefix, rng)));
   }
 }
 
@@ -147,7 +147,7 @@ TEST(BinaryTrie6, AgreesWithLinearOracle) {
   std::uniform_int_distribution<std::size_t> pick(0, table.size() - 1);
   for (int i = 0; i < 2'000; ++i) {
     const auto addr =
-        net::random_address_in6(table.entries()[pick(rng)].prefix, rng);
+        net::random_address_in(table.entries()[pick(rng)].prefix, rng);
     ASSERT_EQ(trie.lookup(addr), table.lookup_linear(addr));
   }
 }
@@ -167,7 +167,7 @@ TEST(Partition6, BitStatsCountTriState) {
   table.add(p6(0x2000000000000000ULL, 0, 4), 1);  // bit 3 = 0
   table.add(p6(0x3000000000000000ULL, 0, 4), 2);  // bit 3 = 1
   table.add(p6(0x2000000000000000ULL, 0, 3), 3);  // bit 3 = *
-  const auto stats = partition::compute_bit_stats6(table.entries(), 3);
+  const auto stats = partition::compute_bit_stats(table.entries(), 3);
   EXPECT_EQ(stats.phi0, 1u);
   EXPECT_EQ(stats.phi1, 1u);
   EXPECT_EQ(stats.phi_star, 1u);
@@ -190,7 +190,7 @@ TEST_P(Partition6InvariantTest, HomeLookupEqualsFullLookup) {
   std::uniform_int_distribution<std::size_t> pick(0, table.size() - 1);
   for (int i = 0; i < 3'000; ++i) {
     const auto addr =
-        net::random_address_in6(table.entries()[pick(rng)].prefix, rng);
+        net::random_address_in(table.entries()[pick(rng)].prefix, rng);
     const int home = rot.home_of(addr);
     ASSERT_EQ(tries[static_cast<std::size_t>(home)].lookup(addr), oracle.lookup(addr))
         << "psi=" << num_lcs;
@@ -221,7 +221,7 @@ TEST(Partition6, ControlBitsStayLowForV6Tables) {
   config.size = 20'000;
   config.seed = 10;
   const RouteTable6 table = net::generate_table6(config);
-  for (const int bit : partition::select_control_bits6(table, 4)) {
+  for (const int bit : partition::select_control_bits(table, 4)) {
     EXPECT_LT(bit, 48);
   }
 }

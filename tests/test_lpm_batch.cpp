@@ -260,7 +260,7 @@ TEST(LpmBatch6, LcTrie6MatchesScalarAndOracle) {
       keys.push_back(net::Ipv6Addr{rng(), rng()});
     } else {
       keys.push_back(
-          net::random_address_in6(table.entries()[pick(rng)].prefix, rng));
+          net::random_address_in(table.entries()[pick(rng)].prefix, rng));
     }
   }
   const std::size_t n = keys.size();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/router_sim.h"
+#include "stream_shape_checks.h"
 
 namespace {
 
@@ -141,6 +142,34 @@ TEST(RouterSim6, FlushAndSelectiveInvalidationWork) {
   EXPECT_GT(result.updates_applied, 0u);
 }
 
+TEST(RouterSim6, HonoursExplicitControlBits) {
+  const std::vector<int> bits{5, 9};
+  core::RouterConfig config = v6_config(4);
+  config.partition_config.control_bits = bits;
+  core::RouterSim6 router(v6_table(), config);
+  const auto chosen = router.rot().control_bits();
+  EXPECT_EQ(std::vector<int>(chosen.begin(), chosen.end()), bits);
+  const core::RouterSim6 selecting(v6_table(), v6_config(4));
+  const auto selected = selecting.rot().control_bits();
+  EXPECT_NE(std::vector<int>(selected.begin(), selected.end()), bits);
+  const auto result = router.run_workload(v6_profile(), /*verify=*/true);
+  EXPECT_EQ(result.resolved_packets, 4u * 3'000u);
+  EXPECT_EQ(result.verify_mismatches, 0u);
+}
+
+TEST(RouterSim6, UniformPartitionWeightsAreByteIdentical) {
+  // As for IPv4 (RebalancerOracle.UniformPartitionWeightsAreByteIdentical):
+  // a uniform weight vector is the count-balanced case end to end.
+  const net::RouteTable6 table = v6_table();
+  const core::RouterConfig plain = v6_config(4);
+  core::RouterConfig weighted = plain;
+  weighted.partition_config.weights = std::vector<double>(table.size(), 0.25);
+  core::RouterSim6 a(table, plain);
+  core::RouterSim6 b(table, weighted);
+  EXPECT_EQ(a.run_workload(v6_profile(), true).to_json(),
+            b.run_workload(v6_profile(), true).to_json());
+}
+
 TEST(TraceGen6, DeterministicSharedPopulation) {
   const net::RouteTable6 table = v6_table();
   const trace::TraceGenerator6 gen(v6_profile(), table);
@@ -156,6 +185,24 @@ TEST(TraceGen6, DestinationsMatchTheTable) {
   for (const auto& addr : gen.generate(0, 500)) {
     EXPECT_NE(oracle.lookup(addr), net::kNoRoute);
   }
+}
+
+TEST(TraceGen6, ScanSweepsFlowsWithoutReuseFromPerLcOffsets) {
+  shape_checks::expect_scan_shape(v6_table());
+}
+
+TEST(TraceGen6, FlashCrowdConcentratesOnHotSetAfterOnset) {
+  shape_checks::expect_flash_crowd_shape(v6_table());
+}
+
+TEST(TraceGen6, PrefixWeightsSumToOne) {
+  const net::RouteTable6 table = v6_table();
+  const std::vector<double> weights =
+      trace::TraceGenerator6(v6_profile(), table).prefix_weights();
+  ASSERT_EQ(weights.size(), table.size());
+  double total = 0.0;
+  for (const double w : weights) total += w;
+  EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
 }  // namespace

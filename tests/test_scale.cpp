@@ -61,7 +61,7 @@ net::Ipv4Addr random_in(const net::Prefix& prefix, std::mt19937_64& rng) {
   return net::random_address_in(prefix, rng);
 }
 net::Ipv6Addr random_in(const net::Prefix6& prefix, std::mt19937_64& rng) {
-  return net::random_address_in6(prefix, rng);
+  return net::random_address_in(prefix, rng);
 }
 template <typename Addr>
 Addr uniform_addr(std::mt19937_64& rng) {
@@ -178,7 +178,7 @@ TEST(ScaleDifferential, SampledSliceV6Kinds) {
   for (int i = 0; i < 10'000; ++i) {
     const net::Ipv6Addr addr =
         i % 2 == 0
-            ? net::random_address_in6(slice.entries()[pick(rng)].prefix, rng)
+            ? net::random_address_in(slice.entries()[pick(rng)].prefix, rng)
             : net::Ipv6Addr{rng(), rng()};
     const net::NextHop expected = oracle.lookup(addr);
     ASSERT_EQ(lc.lookup(addr), expected);

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "net/table_gen.h"
+#include "stream_shape_checks.h"
 #include "trie/binary_trie.h"
 
 namespace {
@@ -93,6 +94,14 @@ TEST(TraceGen, ZipfHeadCarriesTraffic) {
   const auto stats = trace::analyze_trace(gen.generate(0, 100'000));
   const std::size_t head = std::max<std::size_t>(1, stats.distinct / 10);
   EXPECT_GT(stats.concentration(head), 0.6);
+}
+
+TEST(TraceGen, ScanSweepsFlowsWithoutReuseFromPerLcOffsets) {
+  shape_checks::expect_scan_shape(test_table());
+}
+
+TEST(TraceGen, FlashCrowdConcentratesOnHotSetAfterOnset) {
+  shape_checks::expect_flash_crowd_shape(test_table());
 }
 
 TEST(TraceGen, EmptyTableYieldsEmptyStream) {

@@ -22,7 +22,6 @@
 
 #include "net/prefix6.h"
 #include "net/table_gen.h"
-#include "partition/partition6.h"
 #include "partition/rot_partition.h"
 #include "trie/binary_trie.h"
 
@@ -31,7 +30,6 @@ namespace {
 using namespace spal;
 using net::RouteTable;
 using net::RouteTable6;
-using partition::Partition6Config;
 using partition::PartitionConfig;
 using partition::RotPartition;
 using partition::RotPartition6;
@@ -120,7 +118,7 @@ TEST(WeightedPartition, UniformWeightsReproduceCountBalancedV6) {
     const RotPartition6 base(table, psi);
     for (const auto& weights :
          {std::vector<double>{}, std::vector<double>(table.size(), 2.5)}) {
-      Partition6Config config;
+      PartitionConfig config;
       config.weights = weights;
       const RotPartition6 weighted(table, psi, config);
       EXPECT_EQ(to_vec(weighted.control_bits()), to_vec(base.control_bits()))
@@ -200,7 +198,7 @@ TEST(WeightedPartition, RandomWeightsKeepPartitionWellFormedV6) {
   const RouteTable6 table = net::make_rt6_internet(2'000);
   const std::vector<double> weights = random_weights(table.size(), 7);
   for (const int psi : {4, 16}) {
-    Partition6Config config;
+    PartitionConfig config;
     config.weights = weights;
     const RotPartition6 rot(table, psi, config);
 
@@ -223,7 +221,7 @@ TEST(WeightedPartition, RandomWeightsKeepPartitionWellFormedV6) {
     std::uniform_int_distribution<std::size_t> pick(0, table.size() - 1);
     for (int i = 0; i < 1'000; ++i) {
       const auto& prefix = table.entries()[pick(rng)].prefix;
-      const net::Ipv6Addr addr = net::random_address_in6(prefix, rng);
+      const net::Ipv6Addr addr = net::random_address_in(prefix, rng);
       const int home = rot.home_of(addr);
       ASSERT_GE(home, 0);
       ASSERT_LT(home, psi);
@@ -283,14 +281,14 @@ TEST(WeightedPartition, SkewedWeightsNeverWorseThanCountBalancedV6) {
   const std::vector<double> weights = zipf_weights(table.size(), 1.0, 17);
   for (const int psi : {4, 8, 16}) {
     const RotPartition6 count_balanced(table, psi);
-    Partition6Config config;
+    PartitionConfig config;
     config.weights = weights;
     const RotPartition6 weighted(table, psi, config);
 
     const std::vector<double> loads_cb =
-        partition::expected_loads6(count_balanced, table, weights);
+        partition::expected_loads(count_balanced, table, weights);
     const std::vector<double> loads_w =
-        partition::expected_loads6(weighted, table, weights);
+        partition::expected_loads(weighted, table, weights);
 
     const double total = sum(weights);
     EXPECT_NEAR(sum(loads_cb), total, 1e-9);
