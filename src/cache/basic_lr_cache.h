@@ -6,6 +6,14 @@
 // Requirements on Addr: regular value type with operator==, plus an
 // overload of lr_cache_set_bits(addr) yielding the 32 low-entropy bits the
 // set index is drawn from.
+//
+// Storage is a structure of arrays: a dense tag array, a one-byte state
+// array (valid, W and M bits) and a cold payload array (next hop, LRU and
+// FIFO stamps), for the main blocks and the victim cache alike. Every route
+// update scans all blocks of every LR-cache for covered tags
+// (invalidate_matching), and almost always finds none; the dense layout
+// lets that scan read 5 bytes per IPv4 block (tag and state) and leave the
+// payloads untouched.
 #pragma once
 
 #include <algorithm>
@@ -117,40 +125,41 @@ class BasicLrCache {
     if (config.remote_fraction < 0.0 || config.remote_fraction > 1.0) {
       throw std::invalid_argument("LrCache: remote_fraction outside [0,1]");
     }
-    blocks_.resize(config.blocks);
-    victim_.resize(config.victim_blocks);
+    main_ = Blocks(config.blocks);
+    victim_ = Blocks(config.victim_blocks);
   }
 
   /// Looks `addr` up in its set and the victim cache simultaneously.
   ProbeResult probe(const Addr& addr, std::uint64_t now) {
     ++stats_.probes;
-    if (Block* block = find_in_set(addr); block != nullptr) {
-      if (block->waiting) {
+    if (const std::size_t i = find_in_set(addr); i != kNone) {
+      if ((main_.states[i] & kWaiting) != 0) {
         ++stats_.waiting_hits;
         return ProbeResult{ProbeState::kWaiting, net::kNoRoute};
       }
-      block->last_use = now;
+      main_.payloads[i].last_use = now;
       ++stats_.hits;
-      count_hit_origin(block->origin);
-      return ProbeResult{ProbeState::kHit, block->next_hop};
+      count_hit_origin(origin_of(main_.states[i]));
+      return ProbeResult{ProbeState::kHit, main_.payloads[i].next_hop};
     }
     // The victim cache is searched simultaneously (Sec. 3.2); on a hit the
     // block is promoted back into its set.
-    if (Block* block = find_victim_entry(addr); block != nullptr) {
+    if (const std::size_t v = find_victim_entry(addr); v != kNone) {
       ++stats_.hits;
       ++stats_.victim_hits;
-      count_hit_origin(block->origin);
-      const Block promoted = *block;
-      block->valid = false;  // free the slot: promote() may demote into it
-      if (!promote(promoted, now)) {
+      const std::uint8_t state = victim_.states[v];
+      const net::NextHop next_hop = victim_.payloads[v].next_hop;
+      count_hit_origin(origin_of(state));
+      victim_.states[v] = 0;  // free the slot: promote() may demote into it
+      if (!promote(addr, state, next_hop, now)) {
         // Promotion declined (origin quota entirely waiting, or zero ways
         // at this γ): restore the entry instead of destroying a valid
         // result — it stays servable from the victim cache.
-        *block = promoted;
-        block->last_use = now;
+        victim_.states[v] = state;
+        victim_.payloads[v].last_use = now;
         ++stats_.failed_promotions;
       }
-      return ProbeResult{ProbeState::kHit, promoted.next_hop};
+      return ProbeResult{ProbeState::kHit, next_hop};
     }
     ++stats_.misses;
     return ProbeResult{ProbeState::kMiss, net::kNoRoute};
@@ -158,27 +167,26 @@ class BasicLrCache {
 
   /// Early recording: reserves a W=1 block (see lr_cache.h).
   bool reserve(const Addr& addr, Origin origin, std::uint64_t now) {
-    Block* block = choose_victim(set_index(addr), origin, now);
-    if (block == nullptr) {
+    const std::size_t i = choose_victim(set_index(addr), origin, now);
+    if (i == kNone) {
       ++stats_.failed_reservations;
       return false;
     }
     ++stats_.reservations;
-    *block = Block{addr, net::kNoRoute, origin, /*valid=*/true,
-                   /*waiting=*/true, now, now};
+    main_.store(i, addr, state_of(origin) | kWaiting, net::kNoRoute, now);
     return true;
   }
 
   /// Completes the waiting block for `addr`; false if it was flushed away.
   bool fill(const Addr& addr, net::NextHop next_hop, std::uint64_t now) {
-    Block* block = find_in_set(addr);
-    if (block == nullptr || !block->waiting) {
+    const std::size_t i = find_in_set(addr);
+    if (i == kNone || (main_.states[i] & kWaiting) == 0) {
       ++stats_.orphan_fills;
       return false;
     }
-    block->next_hop = next_hop;
-    block->waiting = false;
-    block->last_use = now;
+    main_.payloads[i].next_hop = next_hop;
+    main_.states[i] &= static_cast<std::uint8_t>(~kWaiting);
+    main_.payloads[i].last_use = now;
     ++stats_.fills;
     return true;
   }
@@ -189,9 +197,9 @@ class BasicLrCache {
   /// block exists (already filled, flushed, or never reserved). Completed
   /// blocks are never touched.
   bool cancel_waiting(const Addr& addr) {
-    Block* block = find_in_set(addr);
-    if (block == nullptr || !block->waiting) return false;
-    block->valid = false;
+    const std::size_t i = find_in_set(addr);
+    if (i == kNone || (main_.states[i] & kWaiting) == 0) return false;
+    main_.states[i] = 0;
     ++stats_.cancelled_reservations;
     return true;
   }
@@ -199,30 +207,28 @@ class BasicLrCache {
   /// Inserts a completed result directly (reserve+fill in one step).
   void insert(const Addr& addr, net::NextHop next_hop, Origin origin,
               std::uint64_t now) {
-    if (Block* existing = find_in_set(addr); existing != nullptr) {
-      existing->next_hop = next_hop;
-      existing->origin = origin;
-      existing->waiting = false;
-      existing->last_use = now;
+    if (const std::size_t i = find_in_set(addr); i != kNone) {
+      main_.payloads[i].next_hop = next_hop;
+      main_.states[i] = state_of(origin);
+      main_.payloads[i].last_use = now;
       return;
     }
-    Block* block = choose_victim(set_index(addr), origin, now);
-    if (block == nullptr) return;  // no ways for this origin / quota waiting
-    *block = Block{addr, next_hop, origin, /*valid=*/true, /*waiting=*/false,
-                   now, now};
+    const std::size_t i = choose_victim(set_index(addr), origin, now);
+    if (i == kNone) return;  // no ways for this origin / quota waiting
+    main_.store(i, addr, state_of(origin), next_hop, now);
   }
 
   /// Invalidates every block including the victim cache (table update).
   void flush() {
     ++stats_.flushes;
-    for (Block& block : blocks_) block.valid = false;
-    for (Block& block : victim_) block.valid = false;
+    std::fill(main_.states.begin(), main_.states.end(), std::uint8_t{0});
+    std::fill(victim_.states.begin(), victim_.states.end(), std::uint8_t{0});
   }
 
   /// Cold restart: flush() plus statistics and RNG reset.
   void reset() {
-    for (Block& block : blocks_) block = Block{};
-    for (Block& block : victim_) block = Block{};
+    main_ = Blocks(main_.size());
+    victim_ = Blocks(victim_.size());
     stats_ = LrCacheStats{};
     rng_.seed(config_.seed);
   }
@@ -231,34 +237,19 @@ class BasicLrCache {
   /// (victim cache included); waiting blocks are left for their fill.
   template <typename PrefixT>
   std::size_t invalidate_matching(const PrefixT& prefix) {
-    std::size_t invalidated = 0;
-    const auto drop = [&](Block& block) {
-      if (block.valid && !block.waiting && prefix.matches(block.addr)) {
-        block.valid = false;
-        ++invalidated;
-      }
-    };
-    for (Block& block : blocks_) drop(block);
-    for (Block& block : victim_) drop(block);
-    stats_.invalidated_blocks += invalidated;
-    return invalidated;
+    return invalidate_if(
+        [&prefix](const Addr& addr) { return prefix.matches(addr); });
   }
 
   /// Predicate invalidation: drops every completed block whose *address*
   /// satisfies `pred` (victim cache included); waiting blocks are left for
   /// their fill. The migration cutover uses this to shed all blocks homed
-  /// on a re-homed fragment — a set no single prefix covers.
+  /// on a re-homed fragment — a set no single prefix covers. `pred` must be
+  /// pure: the scan also evaluates it on idle blocks' stale tags.
   template <typename Pred>
   std::size_t invalidate_if(Pred&& pred) {
-    std::size_t invalidated = 0;
-    const auto drop = [&](Block& block) {
-      if (block.valid && !block.waiting && pred(block.addr)) {
-        block.valid = false;
-        ++invalidated;
-      }
-    };
-    for (Block& block : blocks_) drop(block);
-    for (Block& block : victim_) drop(block);
+    const std::size_t invalidated =
+        drop_matching(main_, pred) + drop_matching(victim_, pred);
     stats_.invalidated_blocks += invalidated;
     return invalidated;
   }
@@ -270,8 +261,8 @@ class BasicLrCache {
   /// Valid completed blocks of the given origin (test/diagnostic aid).
   std::size_t count_origin(Origin origin) const {
     std::size_t count = 0;
-    for (const Block& block : blocks_) {
-      if (block.valid && !block.waiting && block.origin == origin) ++count;
+    for (const std::uint8_t state : main_.states) {
+      if (live(state) && origin_of(state) == origin) ++count;
     }
     return count;
   }
@@ -286,15 +277,54 @@ class BasicLrCache {
   }
 
  private:
-  struct Block {
-    Addr addr{};
+  // Block status bits (lr_cache.h): availability, W and M.
+  static constexpr std::uint8_t kValid = 1;
+  static constexpr std::uint8_t kWaiting = 2;
+  static constexpr std::uint8_t kRemote = 4;
+  static constexpr std::size_t kNone = ~std::size_t{0};
+  /// Blocks per invalidation chunk: one any-match reduction each.
+  static constexpr std::size_t kScanChunk = 64;
+
+  /// The fields a block needs only once its tag has matched or it is
+  /// being replaced.
+  struct Payload {
     net::NextHop next_hop = net::kNoRoute;
-    Origin origin = Origin::kLocal;
-    bool valid = false;
-    bool waiting = false;
-    std::uint64_t last_use = 0;   ///< LRU stamp
-    std::uint64_t inserted = 0;   ///< FIFO stamp
+    std::uint64_t last_use = 0;  ///< LRU stamp
+    std::uint64_t inserted = 0;  ///< FIFO stamp
   };
+
+  /// Blocks as parallel arrays: the dense tags and one-byte states the
+  /// probe and invalidation scans read, beside the cold payloads. Block i
+  /// is (tags[i], states[i], payloads[i]); it is idle when kValid is clear,
+  /// and an idle block's tag and payload are stale.
+  struct Blocks {
+    std::vector<Addr> tags;
+    std::vector<std::uint8_t> states;
+    std::vector<Payload> payloads;
+
+    explicit Blocks(std::size_t count)
+        : tags(count), states(count, 0), payloads(count) {}
+    std::size_t size() const { return tags.size(); }
+
+    /// Writes a freshly (re)placed block stamped `now`.
+    void store(std::size_t i, const Addr& tag, std::uint8_t state,
+               net::NextHop next_hop, std::uint64_t now) {
+      tags[i] = tag;
+      states[i] = state;
+      payloads[i] = Payload{next_hop, now, now};
+    }
+  };
+
+  static std::uint8_t state_of(Origin origin) {
+    return origin == Origin::kRemote ? std::uint8_t{kValid | kRemote} : kValid;
+  }
+  static Origin origin_of(std::uint8_t state) {
+    return (state & kRemote) != 0 ? Origin::kRemote : Origin::kLocal;
+  }
+  /// Valid and completed (W=0): the blocks invalidation may drop.
+  static bool live(std::uint8_t state) {
+    return (state & (kValid | kWaiting)) == kValid;
+  }
 
   std::size_t set_index(const Addr& addr) const {
     return lr_cache_set_bits(addr) & (sets_ - 1);
@@ -311,121 +341,162 @@ class BasicLrCache {
   /// Moves a victim-cache hit back into its set (Sec. 3.2). Unlike
   /// insert(), a declined allocation is reported to the caller and is not a
   /// quota bypass — the result is not lost, it stays in the victim cache.
-  bool promote(const Block& victim, std::uint64_t now) {
-    Block* block = choose_victim(set_index(victim.addr), victim.origin, now,
-                                 /*count_quota_bypass=*/false);
-    if (block == nullptr) return false;
-    *block = victim;
-    block->last_use = now;
-    block->inserted = now;
+  bool promote(const Addr& addr, std::uint8_t state, net::NextHop next_hop,
+               std::uint64_t now) {
+    const std::size_t i = choose_victim(set_index(addr), origin_of(state), now,
+                                        /*count_quota_bypass=*/false);
+    if (i == kNone) return false;
+    main_.store(i, addr, state, next_hop, now);
     return true;
   }
 
-  Block* find_in_set(const Addr& addr) {
+  std::size_t find_in_set(const Addr& addr) const {
     const std::size_t base = set_index(addr) * config_.associativity;
-    for (std::size_t i = 0; i < config_.associativity; ++i) {
-      Block& block = blocks_[base + i];
-      if (block.valid && block.addr == addr) return &block;
+    for (std::size_t i = base; i < base + config_.associativity; ++i) {
+      if (main_.tags[i] == addr && (main_.states[i] & kValid) != 0) return i;
     }
-    return nullptr;
+    return kNone;
   }
 
-  Block* find_victim_entry(const Addr& addr) {
-    for (Block& block : victim_) {
-      if (block.valid && block.addr == addr) return &block;
+  std::size_t find_victim_entry(const Addr& addr) const {
+    for (std::size_t i = 0; i < victim_.size(); ++i) {
+      if (victim_.tags[i] == addr && (victim_.states[i] & kValid) != 0) return i;
     }
-    return nullptr;
+    return kNone;
   }
 
-  std::size_t pick_by_policy(std::vector<std::size_t>& candidates,
-                             const std::vector<Block>& pool, Replacement policy) {
-    switch (policy) {
-      case Replacement::kLru:
-        return *std::min_element(candidates.begin(), candidates.end(),
-                                 [&](std::size_t a, std::size_t b) {
-                                   return pool[a].last_use < pool[b].last_use;
-                                 });
-      case Replacement::kFifo:
-        return *std::min_element(candidates.begin(), candidates.end(),
-                                 [&](std::size_t a, std::size_t b) {
-                                   return pool[a].inserted < pool[b].inserted;
-                                 });
-      case Replacement::kRandom:
-        return candidates[std::uniform_int_distribution<std::size_t>(
-            0, candidates.size() - 1)(rng_)];
+  /// Clears every live block of `blocks` whose tag satisfies `match`.
+  /// Most route updates cover no cached block, so each 64-block chunk
+  /// first gets a branch-free any-match reduction over its tags and states;
+  /// only a chunk with a match is revisited to clear.
+  template <typename Match>
+  static std::size_t drop_matching(Blocks& blocks, Match& match) {
+    std::size_t dropped = 0;
+    for (std::size_t begin = 0; begin < blocks.size(); begin += kScanChunk) {
+      const std::size_t end = std::min(begin + kScanChunk, blocks.size());
+      std::uint8_t any = 0;
+      for (std::size_t i = begin; i < end; ++i) {
+        any |= static_cast<std::uint8_t>(live(blocks.states[i])) &
+               static_cast<std::uint8_t>(match(blocks.tags[i]));
+      }
+      if (any == 0) continue;
+      for (std::size_t i = begin; i < end; ++i) {
+        if (live(blocks.states[i]) && match(blocks.tags[i])) {
+          blocks.states[i] = 0;
+          ++dropped;
+        }
+      }
     }
-    return candidates.front();
+    return dropped;
+  }
+
+  /// The policy's pick among the `count` (> 0) blocks of [begin, end) whose
+  /// state satisfies `candidate`, scanning in block order: LRU and FIFO take
+  /// the first block with the oldest stamp, random draws k uniformly and
+  /// takes the k-th candidate.
+  template <typename Candidate>
+  std::size_t pick_by_policy(const Blocks& blocks, std::size_t begin,
+                             std::size_t end, std::size_t count,
+                             Replacement policy, Candidate candidate) {
+    if (policy == Replacement::kRandom) {
+      std::size_t k =
+          std::uniform_int_distribution<std::size_t>(0, count - 1)(rng_);
+      std::size_t i = begin;
+      while (!candidate(blocks.states[i]) || k-- != 0) ++i;
+      return i;
+    }
+    std::size_t best = kNone;
+    std::uint64_t best_stamp = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (!candidate(blocks.states[i])) continue;
+      const Payload& payload = blocks.payloads[i];
+      const std::uint64_t stamp =
+          policy == Replacement::kLru ? payload.last_use : payload.inserted;
+      if (best == kNone || stamp < best_stamp) {
+        best = i;
+        best_stamp = stamp;
+      }
+    }
+    return best;
   }
 
   /// Picks the block an `origin` insertion may overwrite under the γ ways
-  /// quota; nullptr when the origin has no ways or only waiting blocks.
-  Block* choose_victim(std::size_t set, Origin origin, std::uint64_t now,
-                       bool count_quota_bypass = true) {
-    if (ways(origin) == 0) {
+  /// quota; kNone when the origin has no ways or only waiting blocks.
+  std::size_t choose_victim(std::size_t set, Origin origin, std::uint64_t now,
+                            bool count_quota_bypass = true) {
+    const std::size_t quota = ways(origin);
+    if (quota == 0) {
       // This origin is not cached at this γ — but a promotion that keeps
       // its victim-cache entry is not a bypassed (lost) result.
       if (count_quota_bypass) ++stats_.quota_bypasses;
-      return nullptr;
+      return kNone;
     }
     const std::size_t base = set * config_.associativity;
+    const std::size_t end = base + config_.associativity;
+    const std::uint8_t own = origin == Origin::kRemote ? kRemote : 0;
+    const auto evictable_own = [own](std::uint8_t state) {
+      return live(state) && (state & kRemote) == own;
+    };
     // Same-origin blocks count against the γ quota (waiting ones included).
-    std::vector<std::size_t> same_origin;  // evictable (non-waiting) only
     std::size_t same_origin_valid = 0;
-    for (std::size_t i = 0; i < config_.associativity; ++i) {
-      const Block& block = blocks_[base + i];
-      if (!block.valid || block.origin != origin) continue;
+    std::size_t same_origin_evictable = 0;
+    for (std::size_t i = base; i < end; ++i) {
+      const std::uint8_t state = main_.states[i];
+      if ((state & kValid) == 0 || (state & kRemote) != own) continue;
       ++same_origin_valid;
-      if (!block.waiting) same_origin.push_back(base + i);
+      if ((state & kWaiting) == 0) ++same_origin_evictable;
     }
-    if (same_origin_valid >= ways(origin)) {
+    if (same_origin_valid >= quota) {
       // Quota reached: replace within the origin's own ways.
-      if (same_origin.empty()) return nullptr;  // quota entirely waiting
-      Block* block =
-          &blocks_[pick_by_policy(same_origin, blocks_, config_.replacement)];
-      if (config_.victim_blocks > 0) demote(*block, now);
-      return block;
+      if (same_origin_evictable == 0) return kNone;  // quota entirely waiting
+      return evict(pick_by_policy(main_, base, end, same_origin_evictable,
+                                  config_.replacement, evictable_own),
+                   now);
     }
     // Below quota: take an idle block first...
-    for (std::size_t i = 0; i < config_.associativity; ++i) {
-      if (!blocks_[base + i].valid) return &blocks_[base + i];
+    for (std::size_t i = base; i < end; ++i) {
+      if ((main_.states[i] & kValid) == 0) return i;
     }
     // ...else the other origin necessarily exceeds its quota; reclaim.
-    std::vector<std::size_t> other;
-    for (std::size_t i = 0; i < config_.associativity; ++i) {
-      const Block& block = blocks_[base + i];
-      if (block.valid && block.origin != origin && !block.waiting) {
-        other.push_back(base + i);
-      }
-    }
-    if (other.empty()) return nullptr;
-    Block* block = &blocks_[pick_by_policy(other, blocks_, config_.replacement)];
-    if (config_.victim_blocks > 0) demote(*block, now);
-    return block;
+    const auto evictable_other = [own](std::uint8_t state) {
+      return live(state) && (state & kRemote) != own;
+    };
+    const auto other = static_cast<std::size_t>(
+        std::count_if(main_.states.begin() + static_cast<std::ptrdiff_t>(base),
+                      main_.states.begin() + static_cast<std::ptrdiff_t>(end),
+                      evictable_other));
+    if (other == 0) return kNone;
+    return evict(pick_by_policy(main_, base, end, other, config_.replacement,
+                                evictable_other),
+                 now);
   }
 
-  /// Demotes a valid block into the victim cache.
-  void demote(const Block& block, std::uint64_t now) {
+  /// Frees main block `i` for replacement, demoting it into the victim
+  /// cache when there is one; returns `i`.
+  std::size_t evict(std::size_t i, std::uint64_t now) {
+    if (victim_.size() > 0) demote(i, now);
+    return i;
+  }
+
+  /// Demotes valid main block `i` into the victim cache.
+  void demote(std::size_t i, std::uint64_t now) {
     ++stats_.evictions;
-    for (Block& slot : victim_) {
-      if (!slot.valid) {
-        slot = block;
-        slot.last_use = now;
-        slot.inserted = now;
-        return;
-      }
-    }
-    std::vector<std::size_t> all(victim_.size());
-    for (std::size_t i = 0; i < victim_.size(); ++i) all[i] = i;
-    const std::size_t slot = pick_by_policy(all, victim_, config_.victim_replacement);
-    victim_[slot] = block;
-    victim_[slot].last_use = now;
-    victim_[slot].inserted = now;
+    const auto idle = std::find(victim_.states.begin(), victim_.states.end(),
+                                std::uint8_t{0});
+    const std::size_t slot =
+        idle != victim_.states.end()
+            ? static_cast<std::size_t>(idle - victim_.states.begin())
+            : pick_by_policy(victim_, 0, victim_.size(), victim_.size(),
+                             config_.victim_replacement,
+                             [](std::uint8_t) { return true; });
+    victim_.store(slot, main_.tags[i], main_.states[i],
+                  main_.payloads[i].next_hop, now);
   }
 
   LrCacheConfig config_;
   std::size_t sets_ = 0;
-  std::vector<Block> blocks_;         // sets_ * associativity, set-major
-  std::vector<Block> victim_;         // fully associative
+  Blocks main_{0};    // sets_ * associativity, set-major
+  Blocks victim_{0};  // fully associative
   LrCacheStats stats_;
   std::mt19937_64 rng_;
 };

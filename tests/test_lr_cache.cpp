@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "lr_cache_golden.h"
+
 namespace {
 
 using namespace spal;
@@ -491,6 +493,44 @@ TEST(LrCache, FlushTurnsInFlightFillsIntoOrphans) {
   EXPECT_FALSE(cache.fill(addr, 7, 1));
   EXPECT_EQ(cache.stats().orphan_fills, 1u);
   EXPECT_EQ(cache.probe(addr, 2).state, ProbeState::kMiss);
+}
+
+// --- Golden behaviour ------------------------------------------------------
+
+struct Ipv4Family {
+  using Addr = Ipv4Addr;
+  static constexpr int kMaxLength = net::Prefix::kMaxLength;
+  /// Four /8 clusters, 16 /12s each, random low half (the set-index bits).
+  static Ipv4Addr address(std::uint64_t r) {
+    static constexpr std::uint32_t kTop[4] = {10, 11, 172, 192};
+    return Ipv4Addr{(kTop[r & 3u] << 24) |
+                    (static_cast<std::uint32_t>((r >> 2) & 0xFu) << 16) |
+                    static_cast<std::uint32_t>((r >> 8) & 0xFFFFu)};
+  }
+  static net::Prefix prefix(Ipv4Addr addr, int length) {
+    return net::Prefix(addr, length);
+  }
+  static std::uint64_t hash(Ipv4Addr addr) {
+    return (std::uint64_t{addr.value()} * 0x9E3779B97F4A7C15ULL) >> 40;
+  }
+};
+
+// Expected digests recorded from the array-of-blocks cache this layout
+// replaced; any change to a return value, a statistic or the random
+// policy's RNG draws moves them.
+TEST(LrCacheGolden, LruMatrix) {
+  EXPECT_EQ(cache::golden::run_matrix<Ipv4Family>(Replacement::kLru),
+            0x30ED5D131CFF8761ULL);
+}
+
+TEST(LrCacheGolden, FifoMatrix) {
+  EXPECT_EQ(cache::golden::run_matrix<Ipv4Family>(Replacement::kFifo),
+            0x31965D7C84B443C9ULL);
+}
+
+TEST(LrCacheGolden, RandomMatrix) {
+  EXPECT_EQ(cache::golden::run_matrix<Ipv4Family>(Replacement::kRandom),
+            0x99A57410183405C1ULL);
 }
 
 }  // namespace

@@ -4,7 +4,11 @@
 // 128-bit tag comparison, Prefix6 selective invalidation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cache/basic_lr_cache.h"
+#include "lr_cache_golden.h"
 #include "net/prefix6.h"
 
 namespace {
@@ -14,6 +18,7 @@ using cache::BasicLrCache;
 using cache::LrCacheConfig;
 using cache::Origin;
 using cache::ProbeState;
+using cache::Replacement;
 using net::Ipv6Addr;
 
 using Cache6 = BasicLrCache<Ipv6Addr>;
@@ -126,6 +131,75 @@ TEST(LrCache6, Prefix6SelectiveInvalidation) {
   EXPECT_EQ(cache.probe(outside, 3).state, ProbeState::kHit);
 }
 
+/// `addr` with MSB-relative bit `pos` inverted.
+Ipv6Addr flip_bit(const Ipv6Addr& addr, int pos) {
+  return pos < 64 ? Ipv6Addr{addr.hi() ^ (1ULL << (63 - pos)), addr.lo()}
+                  : Ipv6Addr{addr.hi(), addr.lo() ^ (1ULL << (127 - pos))};
+}
+
+/// Bit-by-bit oracle for "the /length prefix of `base` covers `addr`",
+/// independent of Prefix6's hi/lo masks.
+bool covers(const Ipv6Addr& base, int length, const Ipv6Addr& addr) {
+  for (int pos = 0; pos < length; ++pos) {
+    if (addr.bit(pos) != base.bit(pos)) return false;
+  }
+  return true;
+}
+
+TEST(LrCache6, InvalidationAcrossTheHiLoSplit) {
+  // Prefix lengths on both sides of the 64-bit mask split. One set of 8
+  // LOC ways plus a 4-block victim cache holds: two blocks demoted into the
+  // victim cache (one covered below /128, one never covered), a waiting
+  // block on the prefix address itself (covered, must survive), and
+  // completed blocks differing from it just before, at and after the
+  // prefix boundary and at bits 63/64.
+  const Ipv6Addr base{0x20010DB85555AAAAULL, 0xAAAA555500001234ULL};
+  for (const int length : {0, 63, 64, 65, 128}) {
+    SCOPED_TRACE(length);
+    LrCacheConfig config;
+    config.blocks = 8;
+    config.associativity = 8;
+    config.remote_fraction = 0.0;
+    config.victim_blocks = 4;
+    Cache6 cache(config);
+
+    std::vector<Ipv6Addr> completed;
+    const auto add = [&](const Ipv6Addr& addr) {
+      if (addr == base ||
+          std::find(completed.begin(), completed.end(), addr) != completed.end()) {
+        return;
+      }
+      cache.insert(addr, static_cast<net::NextHop>(completed.size() + 1),
+                   Origin::kLocal, completed.size());
+      completed.push_back(addr);
+    };
+    add(flip_bit(base, 127));  // oldest two: demoted to the victim cache
+    add(flip_bit(base, 0));
+    ASSERT_TRUE(cache.reserve(base, Origin::kLocal, 100));
+    if (length > 0) add(flip_bit(base, length - 1));
+    if (length < 128) add(flip_bit(base, length));
+    add(flip_bit(base, 63));
+    add(flip_bit(base, 64));
+    for (std::uint64_t k = 1; cache.stats().evictions < 2; ++k) {
+      add(Ipv6Addr{0x3FFE000000000000ULL + k, k});
+    }
+    ASSERT_EQ(cache.stats().evictions, 2u);
+
+    std::size_t expected = 0;
+    for (const Ipv6Addr& addr : completed) expected += covers(base, length, addr);
+    EXPECT_EQ(cache.invalidate_matching(net::Prefix6(base, length)), expected);
+    EXPECT_EQ(cache.stats().invalidated_blocks, expected);
+
+    EXPECT_EQ(cache.probe(base, 200).state, ProbeState::kWaiting);
+    for (const Ipv6Addr& addr : completed) {
+      EXPECT_EQ(cache.probe(addr, 201).state,
+                covers(base, length, addr) ? ProbeState::kMiss : ProbeState::kHit);
+    }
+    EXPECT_TRUE(cache.fill(base, 9, 202));
+    EXPECT_EQ(cache.stats().orphan_fills, 0u);
+  }
+}
+
 TEST(LrCache6, GammaQuotasApply) {
   LrCacheConfig config = config16();
   config.remote_fraction = 0.25;  // 1 REM way per set
@@ -153,6 +227,47 @@ TEST(LrCache6, VictimCacheWorks) {
   const auto result = cache.probe(a, 3);
   EXPECT_EQ(result.state, ProbeState::kHit);
   EXPECT_EQ(cache.stats().victim_hits, 1u);
+}
+
+// --- Golden behaviour ------------------------------------------------------
+
+struct Ipv6Family {
+  using Addr = Ipv6Addr;
+  static constexpr int kMaxLength = net::Prefix6::kMaxLength;
+  /// Clusters on both sides of the /64 split: 8 x 256 high halves under
+  /// 2001::/16, 16 groups on the top nibble of the low half, random low 32
+  /// bits (the set-index bits).
+  static Ipv6Addr address(std::uint64_t r) {
+    const std::uint64_t hi = (0x2001ULL << 48) | (((r >> 3) & 0xFFu) << 8) |
+                             ((r & 7u) << 32);
+    const std::uint64_t lo = (((r >> 11) & 0xFu) << 60) | ((r >> 15) & 0xFFFFFFFFu);
+    return Ipv6Addr{hi, lo};
+  }
+  static net::Prefix6 prefix(const Ipv6Addr& addr, int length) {
+    return net::Prefix6(addr, length);
+  }
+  static std::uint64_t hash(const Ipv6Addr& addr) {
+    return ((addr.hi() ^ (addr.lo() * 0x9E3779B97F4A7C15ULL)) *
+            0xBF58476D1CE4E5B9ULL) >> 40;
+  }
+};
+
+// Expected digests recorded from the array-of-blocks cache this layout
+// replaced; any change to a return value, a statistic or the random
+// policy's RNG draws moves them.
+TEST(LrCache6Golden, LruMatrix) {
+  EXPECT_EQ(cache::golden::run_matrix<Ipv6Family>(Replacement::kLru),
+            0x46A75FBB2A936B03ULL);
+}
+
+TEST(LrCache6Golden, FifoMatrix) {
+  EXPECT_EQ(cache::golden::run_matrix<Ipv6Family>(Replacement::kFifo),
+            0xDCBAF9A1695B4895ULL);
+}
+
+TEST(LrCache6Golden, RandomMatrix) {
+  EXPECT_EQ(cache::golden::run_matrix<Ipv6Family>(Replacement::kRandom),
+            0x4D260C6315EFFF31ULL);
 }
 
 }  // namespace
