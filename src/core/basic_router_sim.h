@@ -107,6 +107,7 @@
 #include <deque>
 #include <memory>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
@@ -120,7 +121,7 @@
 #include "fabric/fabric.h"
 #include "net/update_stream.h"
 #include "partition/rot_partition.h"
-#include "sim/calendar_queue.h"
+#include "sim/lane_queue.h"
 #include "sim/packet_source.h"
 #include "sim/shard_sync.h"
 #include "sim/spsc_ring.h"
@@ -186,25 +187,35 @@ class BasicRouterSim {
             static_cast<std::size_t>(config_.num_lcs),
         0);
     waiting_depth_.assign(static_cast<std::size_t>(config_.num_lcs), 0);
+    // Assign global packet ids LC-major and generate each LC's arrival
+    // times straight into its slice of arrival_time_: the shard queues read
+    // those slices in place as lanes, so no arrival is queued up front.
     std::size_t total_packets = 0;
     for (const auto& stream : streams) total_packets += stream.size();
-    // Generate per-LC arrival times before sizing the queues: the count
-    // bounds their peak population and the last arrival bounds the schedule
-    // horizon (so the calendar engine picks a bucket width that fits the
-    // whole run).
-    std::vector<std::vector<std::uint64_t>> arrivals_per_lc;
-    arrivals_per_lc.reserve(static_cast<std::size_t>(config_.num_lcs));
+    arrival_time_.resize(total_packets);
+    arrival_lc_.resize(total_packets);
+    resolved_.assign(total_packets, 0);
+    destinations_.clear();
+    destinations_.reserve(total_packets);
+    first_packet_.resize(static_cast<std::size_t>(config_.num_lcs));
     std::uint64_t arrival_horizon = 0;
     for (int lc = 0; lc < config_.num_lcs; ++lc) {
-      arrivals_per_lc.push_back(sim::generate_arrival_times(
-          config_.line_rate_gbps, streams[static_cast<std::size_t>(lc)].size(),
-          config_.seed ^ (0xabcdef12345ULL + static_cast<std::uint64_t>(lc))));
-      if (!arrivals_per_lc.back().empty()) {
-        arrival_horizon = std::max(arrival_horizon, arrivals_per_lc.back().back());
+      const auto& stream = streams[static_cast<std::size_t>(lc)];
+      const std::size_t first = destinations_.size();
+      first_packet_[static_cast<std::size_t>(lc)] = first;
+      const std::span<std::uint64_t> times(arrival_time_.data() + first,
+                                           stream.size());
+      sim::fill_arrival_times(
+          config_.line_rate_gbps, times,
+          config_.seed ^ (0xabcdef12345ULL + static_cast<std::uint64_t>(lc)));
+      if (!times.empty()) {
+        arrival_horizon = std::max(arrival_horizon, times.back());
       }
+      std::fill_n(arrival_lc_.begin() + static_cast<std::ptrdiff_t>(first),
+                  stream.size(), lc);
+      destinations_.insert(destinations_.end(), stream.begin(), stream.end());
     }
-    // Live route-update pipeline: resolve how many updates this run injects
-    // before sizing the queues (their schedule extends the horizon).
+    // Live route-update pipeline: how many updates this run injects.
     const bool live_updates = config_.update.interval_cycles != 0;
     std::size_t update_count = 0;
     if (live_updates) {
@@ -214,11 +225,6 @@ class BasicRouterSim {
                                                 config_.update.interval_cycles);
       }
     }
-    const std::uint64_t update_horizon =
-        live_updates ? static_cast<std::uint64_t>(update_count) *
-                           config_.update.interval_cycles
-                     : 0;
-    const std::uint64_t horizon = std::max(arrival_horizon, update_horizon);
     verify_ = verify;
     timeout_base_ = config_.recovery.timeout_cycles;
     if (timeout_base_ == 0) {
@@ -370,6 +376,10 @@ class BasicRouterSim {
       stream_config.next_hops = config_.update.next_hops;
       updates_ = Family::make_updates(full_table_, stream_config);
       update_inject_time_.resize(updates_.size());
+      for (std::size_t i = 0; i < updates_.size(); ++i) {
+        update_inject_time_[i] = (static_cast<std::uint64_t>(i) + 1) *
+                                 config_.update.interval_cycles;
+      }
       update_settle_time_.assign(updates_.size(), kSettlePending);
       // make_unique<T[]> value-initializes: counters start at zero.
       update_outstanding_ =
@@ -391,16 +401,9 @@ class BasicRouterSim {
     copies_dirty_ = !updates_.empty() && replication_active();
     oracle_dirty_ = !updates_.empty() && oracle_ != nullptr;
 
-    // Assign global packet ids.
-    arrival_time_.assign(total_packets, 0);
-    arrival_lc_.assign(total_packets, 0);
-    resolved_.assign(total_packets, 0);
-    destinations_.clear();
-    destinations_.reserve(total_packets);
-
-    // Build the shards and scatter the initial schedule. Event insertion
-    // order per shard matches the sequential engine's insertion order
-    // restricted to that shard (updates first, then arrivals LC-major), so
+    // Build the shards and hand each its pre-scheduled lanes. Lane order
+    // per shard is the sequential engine's order restricted to that shard
+    // (updates, migration start, arrivals LC-major, rebalancer ticks), so
     // equal-time tie-breaks agree between the engines.
     shard_count_ = planned_shards(verify);
     lookahead_ = fabric_->min_lookahead();
@@ -409,7 +412,7 @@ class BasicRouterSim {
     shards_.clear();
     shards_.reserve(static_cast<std::size_t>(shard_count_));
     for (int s = 0; s < shard_count_; ++s) {
-      shards_.push_back(std::make_unique<Shard>());
+      shards_.push_back(std::make_unique<Shard>(this));
       Shard& sh = *shards_.back();
       sh.index = s;
       if (shard_count_ > 1) {
@@ -421,55 +424,22 @@ class BasicRouterSim {
         }
       }
     }
-    {
-      std::vector<std::size_t> expected(static_cast<std::size_t>(shard_count_),
-                                        0);
-      for (int lc = 0; lc < config_.num_lcs; ++lc) {
-        expected[static_cast<std::size_t>(shard_of_lc(lc))] +=
-            streams[static_cast<std::size_t>(lc)].size();
-      }
-      expected[static_cast<std::size_t>(shard_of_lc(0))] += update_count;
-      for (int s = 0; s < shard_count_; ++s) {
-        auto& queue = shards_[static_cast<std::size_t>(s)]->queue;
-        queue = sim::CalendarQueue<Event>{};
-        queue.reserve(expected[static_cast<std::size_t>(s)], horizon);
-      }
-    }
-    for (std::size_t i = 0; i < updates_.size(); ++i) {
-      const std::uint64_t at =
-          (static_cast<std::uint64_t>(i) + 1) * config_.update.interval_cycles;
-      update_inject_time_[i] = at;
-      shard_for_lc(0).queue.schedule(
-          at, Event{Event::Type::kUpdateInject, 0, Addr{},
-                    Requester{0, static_cast<std::int64_t>(i), false}, false,
-                    net::kNoRoute});
-    }
+    shard_for_lc(0).queue.add_lane(kUpdateLane, update_inject_time_);
     if (config_.migration.enabled) {
       // Local management-plane event at `from` (forces the solo engine, so
       // shard_for_lc is the only shard): snapshot and start streaming.
       shard_for_lc(config_.migration.from)
-          .queue.schedule(config_.migration.start_cycle,
-                          Event{Event::Type::kMigrateStart,
-                                config_.migration.from, Addr{},
-                                Requester{config_.migration.from, -1, false},
-                                false, net::kNoRoute});
+          .queue.add_lane(kMigrateLane,
+                          std::span(&config_.migration.start_cycle, 1));
     }
-    std::int64_t packet_id = 0;
     for (int lc = 0; lc < config_.num_lcs; ++lc) {
-      const auto& stream = streams[static_cast<std::size_t>(lc)];
-      const auto& arrivals = arrivals_per_lc[static_cast<std::size_t>(lc)];
-      Shard& sh = shard_for_lc(lc);
-      for (std::size_t i = 0; i < stream.size(); ++i) {
-        arrival_time_[static_cast<std::size_t>(packet_id)] = arrivals[i];
-        arrival_lc_[static_cast<std::size_t>(packet_id)] = lc;
-        destinations_.push_back(stream[i]);
-        sh.queue.schedule(arrivals[i],
-                          Event{Event::Type::kLookup, lc, stream[i],
-                                Requester{lc, packet_id, false}, false,
-                                net::kNoRoute});
-        ++packet_id;
-      }
+      shard_for_lc(lc).queue.add_lane(
+          kFirstArrivalLane + static_cast<std::size_t>(lc),
+          std::span(arrival_time_.data() +
+                        first_packet_[static_cast<std::size_t>(lc)],
+                    streams[static_cast<std::size_t>(lc)].size()));
     }
+    rebalance_tick_time_.clear();
     if (config_.rebalancer.enabled) {
       // Per-window offered load per fragment, precomputed from the arrival
       // schedule (the home mapping is static; which LC *serves* a fragment
@@ -490,11 +460,10 @@ class BasicRouterSim {
       // Finite tick schedule (one per window, management plane at LC 0):
       // a self-rescheduling tick would never let the event queue drain.
       for (std::size_t w = 0; w < windows; ++w) {
-        shard_for_lc(0).queue.schedule(
-            (static_cast<std::uint64_t>(w) + 1) * win,
-            Event{Event::Type::kRebalanceTick, 0, Addr{},
-                  Requester{0, -1, false}, false, net::kNoRoute});
+        rebalance_tick_time_.push_back(
+            (static_cast<std::uint64_t>(w) + 1) * win);
       }
+      shard_for_lc(0).queue.add_lane(kTickLane, rebalance_tick_time_);
     }
 
     if (shard_count_ == 1) {
@@ -932,12 +901,50 @@ class BasicRouterSim {
     RebalancerStats rb;     ///< rebalancer ledger (all zero when off)
   };
 
+  // Lane ids of the pre-scheduled events a shard queue merges in place
+  // (sim::LaneQueue): LC lc's packet arrivals are lane kFirstArrivalLane + lc.
+  static constexpr std::size_t kUpdateLane = 0;
+  static constexpr std::size_t kMigrateLane = 1;
+  static constexpr std::size_t kTickLane = 2;
+  static constexpr std::size_t kFirstArrivalLane = 3;
+
+  /// Builds the Event of a lane item when the shard queue pops it.
+  struct LaneEvent {
+    const BasicRouterSim* router;
+    Event operator()(std::size_t lane, std::size_t index) const {
+      if (lane >= kFirstArrivalLane) {
+        const int lc = static_cast<int>(lane - kFirstArrivalLane);
+        const std::size_t packet =
+            router->first_packet_[static_cast<std::size_t>(lc)] + index;
+        return Event{Event::Type::kLookup, lc, router->destinations_[packet],
+                     Requester{lc, static_cast<std::int64_t>(packet), false},
+                     false, net::kNoRoute};
+      }
+      switch (lane) {
+        case kUpdateLane:
+          return Event{Event::Type::kUpdateInject, 0, Addr{},
+                       Requester{0, static_cast<std::int64_t>(index), false},
+                       false, net::kNoRoute};
+        case kMigrateLane: {
+          const int from = router->config_.migration.from;
+          return Event{Event::Type::kMigrateStart, from, Addr{},
+                       Requester{from, -1, false}, false, net::kNoRoute};
+        }
+        default:  // kTickLane
+          return Event{Event::Type::kRebalanceTick, 0, Addr{},
+                       Requester{0, -1, false}, false, net::kNoRoute};
+      }
+    }
+  };
+
   /// One shard: a contiguous LC range, its event queue, the per-LC maps
   /// that only its thread touches, and the cross-thread machinery (inbound
   /// rings, published frontier, idle flag).
   struct Shard {
+    explicit Shard(const BasicRouterSim* router) : queue(LaneEvent{router}) {}
+
     int index = 0;
-    sim::CalendarQueue<Event> queue;
+    sim::LaneQueue<Event, LaneEvent> queue;
     std::vector<StagedMsg> staging;  // min-heap via StagedAfter
     WaitMap waiting;
     std::vector<typename WaitMap::node_type> wait_pool;
@@ -2956,6 +2963,8 @@ class BasicRouterSim {
   std::vector<std::uint64_t> arrival_time_;          // per packet
   std::vector<int> arrival_lc_;                      // per packet
   std::vector<Addr> destinations_;                   // per packet
+  std::vector<std::size_t> first_packet_;            // per LC: first packet id
+  std::vector<std::uint64_t> rebalance_tick_time_;   // per rebalancer window
   // uint8_t, not vector<bool>: neighbouring packets can belong to different
   // shards, and bit-packing would make their flags share a byte.
   std::vector<std::uint8_t> resolved_;               // per packet

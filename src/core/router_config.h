@@ -10,7 +10,6 @@
 #include "core/memory_model.h"
 #include "fabric/fabric.h"
 #include "partition/rot_partition.h"
-#include "sim/calendar_queue.h"
 #include "sim/metrics.h"
 #include "trie/lpm.h"
 

@@ -37,6 +37,7 @@
 #include "partition/rot_partition.h"
 #include "sim/calendar_queue.h"
 #include "sim/engine.h"
+#include "sim/lane_queue.h"
 #include "sim/metrics.h"
 #include "sim/packet_source.h"
 #include "sim/sweep.h"

@@ -10,21 +10,25 @@
 //   * Far-future events (beyond one lap) and past events (a schedule below
 //     the current cycle, allowed for API parity with EventQueue) overflow
 //     into a binary min-heap ordered by (time, seq). When the wheel runs
-//     dry, the next lap's worth of overflow migrates into the buckets, so
-//     bulk pre-scheduled horizons drain through the O(1) path lap by lap.
+//     dry, the next lap's worth of overflow migrates into the buckets, so a
+//     bulk pre-scheduled horizon drains through the O(1) path lap by lap.
+//     Only callers that pre-schedule rely on that path now — perfbench's
+//     queue replay and bench_engine_micro. The router keeps its known-ahead
+//     events out of the calendar (sim/lane_queue.h merges them in place).
 //   * The events of the cycle currently being drained sit in `ready_`, a
 //     (time, seq)-sorted FIFO lane; same-cycle schedules append to it.
 //   * The wheel resizes automatically: the bucket count grows with the
 //     pending event count, and reserve(count, horizon) derives the bucket
-//     width from a known schedule span (e.g. a run's packet arrivals) so
-//     the whole horizon fits in one lap up front.
+//     width from a known schedule span so a pre-scheduled horizon fits in
+//     one lap up front.
 //
 // Ordering contract: pops come out in exactly the same (time, insertion-seq)
 // order as EventQueue — equal-time events pop FIFO. Every pop resolves the
 // head by an explicit (time, seq) comparison between the ready lane and the
 // overflow heap, so the order is independent of resize or migration timing.
 // EventQueue stays the pop-order oracle the engine tests and
-// bench_engine_micro check this against; simulations run on this queue.
+// bench_engine_micro check this against; simulations run on this queue,
+// wrapped in a LaneQueue.
 #pragma once
 
 #include <algorithm>
@@ -44,9 +48,9 @@ class CalendarQueue {
   }
 
   /// Sizes the wheel for an expected total event count, and — when the
-  /// caller knows it, e.g. from a run's last packet arrival — a time
-  /// horizon the bucket width is derived from so every pre-scheduled event
-  /// lands in the wheel rather than the overflow heap.
+  /// caller knows it — a time horizon the bucket width is derived from so
+  /// every pre-scheduled event lands in the wheel rather than the overflow
+  /// heap.
   void reserve(std::size_t expected_events, std::uint64_t horizon = 0) {
     const std::size_t target = clamp_buckets(expected_events / kLoadFactor);
     if (target > buckets_.size()) rebuild(target);

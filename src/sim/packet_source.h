@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -33,20 +34,26 @@ inline ArrivalBounds arrival_bounds(double line_rate_gbps) {
   return {min_cycles, std::max(max_cycles, min_cycles + 1)};
 }
 
-/// Deterministic arrival-time sequence for one LC.
-inline std::vector<std::uint64_t> generate_arrival_times(double line_rate_gbps,
-                                                         std::size_t packets,
-                                                         std::uint64_t seed) {
+/// Deterministic arrival-time sequence for one LC, written into `times`
+/// (one strictly increasing time per packet).
+inline void fill_arrival_times(double line_rate_gbps,
+                               std::span<std::uint64_t> times,
+                               std::uint64_t seed) {
   const ArrivalBounds bounds = arrival_bounds(line_rate_gbps);
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int> gap(bounds.min_cycles, bounds.max_cycles);
-  std::vector<std::uint64_t> times;
-  times.reserve(packets);
   std::uint64_t now = 0;
-  for (std::size_t i = 0; i < packets; ++i) {
+  for (std::uint64_t& time : times) {
     now += static_cast<std::uint64_t>(gap(rng));
-    times.push_back(now);
+    time = now;
   }
+}
+
+inline std::vector<std::uint64_t> generate_arrival_times(double line_rate_gbps,
+                                                         std::size_t packets,
+                                                         std::uint64_t seed) {
+  std::vector<std::uint64_t> times(packets);
+  fill_arrival_times(line_rate_gbps, times, seed);
   return times;
 }
 

@@ -1,16 +1,20 @@
 // Engine-equivalence tests: the CalendarQueue must pop in exactly the same
 // (time, insertion-seq) order as the binary-heap EventQueue, the pop-order
 // oracle — including same-cycle bursts, far-future overflow, past
-// schedules, and across automatic resizes.
+// schedules, and across automatic resizes. The LaneQueue must pop exactly
+// as an EventQueue that got every lane item scheduled first.
 #include "sim/calendar_queue.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.h"
+#include "sim/lane_queue.h"
 
 namespace {
 
@@ -180,6 +184,178 @@ TEST(CalendarQueueTest, ReserveMatchesUnreserved) {
     ASSERT_EQ(a.second, b.second);
   }
   ASSERT_TRUE(reserved.empty());
+}
+
+// ----- LaneQueue ------------------------------------------------------------
+
+constexpr std::uint64_t kLaneItem = std::uint64_t{1} << 63;
+
+/// Lane items carry their (lane id, index) so a pop order mismatch names
+/// the item; scheduled payloads are small sequential ids.
+Payload lane_payload(std::size_t lane_id, std::size_t index) {
+  return Payload{kLaneItem | (std::uint64_t{lane_id} << 32) | index};
+}
+
+struct MakeLanePayload {
+  Payload operator()(std::size_t lane_id, std::size_t index) const {
+    return lane_payload(lane_id, index);
+  }
+};
+
+using Lanes = sim::LaneQueue<Payload, MakeLanePayload>;
+
+/// Drives a LaneQueue and the EventQueue oracle side by side. The oracle
+/// gets every lane item scheduled up front, lanes in add order; then both
+/// get the same schedule() calls.
+class LaneTandem {
+ public:
+  explicit LaneTandem(std::vector<std::vector<std::uint64_t>> lanes)
+      : times_(std::move(lanes)) {
+    for (std::size_t l = 0; l < times_.size(); ++l) {
+      const std::size_t id = 7 * l + 3;  // ids are the caller's, not indices
+      lanes_.add_lane(id, times_[l]);
+      for (std::size_t i = 0; i < times_[l].size(); ++i) {
+        oracle_.schedule(times_[l][i], lane_payload(id, i));
+      }
+    }
+  }
+
+  void schedule(std::uint64_t time) {
+    oracle_.schedule(time, Payload{next_id_});
+    lanes_.schedule(time, Payload{next_id_});
+    ++next_id_;
+  }
+
+  /// The empty()/next_time() pair process_window reads before each pop.
+  void peek_and_check() {
+    ASSERT_EQ(oracle_.empty(), lanes_.empty());
+    if (!oracle_.empty()) {
+      ASSERT_EQ(oracle_.next_time(), lanes_.next_time());
+    }
+  }
+
+  void pop_and_check() {
+    peek_and_check();
+    ASSERT_FALSE(oracle_.empty());
+    const auto [oracle_time, oracle_event] = oracle_.pop();
+    const auto [lane_time, lane_event] = lanes_.pop();
+    ASSERT_EQ(oracle_time, lane_time);
+    ASSERT_EQ(oracle_event, lane_event);
+    last_popped_ = oracle_time;
+    ++pops_;
+  }
+
+  void drain_and_check() {
+    while (!oracle_.empty()) pop_and_check();
+    ASSERT_TRUE(lanes_.empty());
+  }
+
+  std::uint64_t last_popped() const { return last_popped_; }
+  std::size_t size() const { return oracle_.size(); }
+  std::size_t pops() const { return pops_; }
+  const std::vector<std::vector<std::uint64_t>>& lane_times() const {
+    return times_;
+  }
+
+ private:
+  std::vector<std::vector<std::uint64_t>> times_;  // outlives lanes_' spans
+  Heap oracle_;
+  Lanes lanes_;
+  std::uint64_t next_id_ = 0;
+  std::uint64_t last_popped_ = 0;
+  std::size_t pops_ = 0;
+};
+
+TEST(LaneQueueTest, EqualTimesPopLanesFirstInAddOrder) {
+  LaneTandem tandem({{5, 5, 7}, {}, {5, 6, 7}});
+  tandem.schedule(5);
+  tandem.schedule(4);
+  tandem.schedule(7);
+  tandem.drain_and_check();
+  EXPECT_EQ(tandem.pops(), 9u);
+}
+
+TEST(LaneQueueTest, ZeroLanesBehaveAsTheCalendar) {
+  LaneTandem tandem({});
+  std::mt19937_64 rng(21);
+  for (int step = 0; step < 20'000; ++step) {
+    if (rng() % 3 != 0) {
+      tandem.schedule(tandem.last_popped() + rng() % 200);
+    } else if (tandem.size() > 0) {
+      tandem.pop_and_check();
+    }
+  }
+  tandem.drain_and_check();
+}
+
+TEST(LaneQueueTest, OnlyEmptyLanes) {
+  LaneTandem tandem({{}, {}, {}});
+  tandem.peek_and_check();
+  tandem.schedule(3);
+  tandem.schedule(0);
+  tandem.drain_and_check();
+}
+
+/// `count` lanes of packet-like arrival runs: non-decreasing, gaps of 0-18
+/// cycles (0 gives equal times inside a lane), some lanes empty and some
+/// duplicating another lane so heads tie across lanes.
+std::vector<std::vector<std::uint64_t>> random_lanes(std::mt19937_64& rng,
+                                                     std::size_t count) {
+  std::vector<std::vector<std::uint64_t>> lanes(count);
+  for (std::size_t l = 0; l < count; ++l) {
+    const std::uint64_t shape = rng() % 5;
+    if (shape == 0) continue;  // empty lane
+    if (shape == 1 && l > 0) {
+      lanes[l] = lanes[rng() % l];
+      continue;
+    }
+    const std::size_t items = rng() % 2'000;
+    std::uint64_t t = rng() % 64;
+    for (std::size_t i = 0; i < items; ++i) {
+      t += rng() % 19;
+      lanes[l].push_back(t);
+    }
+  }
+  return lanes;
+}
+
+TEST(LaneQueueTest, RandomizedTapeAgainstEventQueue) {
+  // Dynamic schedules at now, now + 1, near the frontier, beyond one wheel
+  // lap, in the past, and exactly on a lane's item times; empty() and
+  // next_time() are read before every pop, as process_window does.
+  for (const std::uint64_t seed : {31u, 32u, 33u, 34u, 35u, 36u}) {
+    std::mt19937_64 rng(seed);
+    constexpr std::size_t kLaneCounts[] = {0, 1, 3, 19};
+    const std::size_t lane_count = kLaneCounts[seed % 4];
+    LaneTandem tandem(random_lanes(rng, lane_count));
+    for (int step = 0; step < 40'000; ++step) {
+      const std::uint64_t now = tandem.last_popped();
+      switch (rng() % 12) {
+        case 0: tandem.schedule(now); break;
+        case 1: tandem.schedule(now + 1); break;
+        case 2: tandem.schedule(now + rng() % 300); break;
+        case 3: tandem.schedule(now + 1'000'000 + rng() % 100'000); break;
+        case 4:
+          tandem.schedule(now - std::min<std::uint64_t>(now, rng() % 50));
+          break;
+        case 5: {
+          const auto& lanes = tandem.lane_times();
+          if (lanes.empty()) break;
+          const auto& lane = lanes[rng() % lanes.size()];
+          if (lane.empty()) break;
+          // A lane item time at or after the frontier, when one remains.
+          const auto it = std::lower_bound(lane.begin(), lane.end(), now);
+          tandem.schedule(it != lane.end() ? *it : lane.back());
+          break;
+        }
+        case 6: tandem.peek_and_check(); break;
+        default:
+          if (tandem.size() > 0) tandem.pop_and_check();
+          break;
+      }
+    }
+    tandem.drain_and_check();
+  }
 }
 
 }  // namespace
