@@ -427,4 +427,44 @@ std::vector<std::string> run_sweep(const std::vector<Point>& points, Fn fn) {
   return entries;
 }
 
+/// The figure sweep of Figs. 4-6: one router parameter takes each of
+/// `values`, and every trace profile runs at each value. Points are grouped
+/// by value: `configure(value)` gives the group's config, one router is
+/// built per group and runs every trace (run() fully resets per-run state),
+/// and groups run concurrently on the sweep runner. `row(profile, value,
+/// result)` formats a point's CSV row and `label(profile, value)` its JSON
+/// label. Rows print trace-major, byte-identical to a sequential per-point
+/// run, and the JSON report (with --json) is written as `bench`.
+template <typename Value, typename Configure, typename Row, typename Label>
+void trace_sweep(const BenchArgs& args, const char* bench,
+                 const std::vector<Value>& values, Configure configure,
+                 Row row, Label label) {
+  rt2();  // build the shared table once, before the workers start
+  const auto profiles = trace::all_profiles();
+  const auto points_by_value = sim::parallel_sweep(values, [&](Value value) {
+    core::RouterConfig config = configure(value);
+    config.execution = args.execution;
+    config.threads = args.threads;
+    core::RouterSim router(rt2(), config);
+    std::vector<PointOutput> points;
+    points.reserve(profiles.size());
+    for (const auto& profile : profiles) {
+      const auto result = router.run_workload(profile);
+      PointOutput point;
+      point.row = row(profile, value, result);
+      if (args.json) point.json = json_point(label(profile, value), result);
+      points.push_back(std::move(point));
+    }
+    return points;
+  });
+  std::vector<std::string> entries;
+  for (std::size_t p = 0; p < profiles.size(); ++p) {
+    for (const auto& points : points_by_value) {
+      std::fputs(points[p].row.c_str(), stdout);
+      if (args.json) entries.push_back(points[p].json);
+    }
+  }
+  write_json_report(args, bench, entries);
+}
+
 }  // namespace spal::bench
