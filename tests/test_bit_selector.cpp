@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "net/table_gen.h"
 
 namespace {
@@ -160,6 +164,127 @@ TEST(SelectControlBits, MaxBitConfigIsRespected) {
   const RouteTable table = net::generate_table(config);
   for (const int bit : select_control_bits(table, 3, 7)) {
     EXPECT_LE(bit, 7);
+  }
+}
+
+// --- Differential: select_control_bits vs a naive reference greedy --------
+
+/// The Sec. 3.1 greedy written the slow, obvious way: every round scores
+/// each unchosen bit with compute_bit_stats over every current subset and
+/// keeps the first minimum under BitScore's order; the chosen bit then
+/// splits each subset, a "*" entry going to both sides.
+template <typename Addr>
+std::vector<int> reference_select(const net::BasicRouteTable<Addr>& table,
+                                  int count, int max_bit) {
+  using Entry = net::BasicRouteEntry<Addr>;
+  std::vector<std::vector<Entry>> subsets{
+      std::vector<Entry>(table.entries().begin(), table.entries().end())};
+  std::vector<int> chosen;
+  for (int round = 0; round < count; ++round) {
+    int best_bit = -1;
+    partition::BitScore best{};
+    for (int bit = 0; bit <= max_bit; ++bit) {
+      if (std::find(chosen.begin(), chosen.end(), bit) != chosen.end()) continue;
+      partition::BitScore score{};
+      for (const auto& subset : subsets) {
+        const auto stats = compute_bit_stats(std::span<const Entry>(subset), bit);
+        score.replication += stats.phi_star;
+        score.imbalance += stats.imbalance();
+      }
+      if (best_bit < 0 || score < best) {
+        best = score;
+        best_bit = bit;
+      }
+    }
+    if (best_bit < 0) break;
+    chosen.push_back(best_bit);
+    std::vector<std::vector<Entry>> next;
+    next.reserve(subsets.size() * 2);
+    for (const auto& subset : subsets) {
+      auto& zero = next.emplace_back();
+      auto& one = next.emplace_back();
+      for (const Entry& e : subset) {
+        if (e.prefix.bit(best_bit) != net::PrefixBit::kOne) zero.push_back(e);
+        if (e.prefix.bit(best_bit) != net::PrefixBit::kZero) one.push_back(e);
+      }
+    }
+    subsets = std::move(next);
+  }
+  return chosen;
+}
+
+template <typename Addr>
+void expect_matches_reference(const net::BasicRouteTable<Addr>& table,
+                              int max_bit) {
+  // The greedy's first k choices do not depend on how many follow, so one
+  // five-round reference run covers every count.
+  const std::vector<int> reference = reference_select(table, 5, max_bit);
+  for (int count = 1; count <= 5; ++count) {
+    const std::vector<int> expected(
+        reference.begin(),
+        reference.begin() + std::min<std::ptrdiff_t>(count, std::ssize(reference)));
+    EXPECT_EQ(select_control_bits(table, count, max_bit), expected)
+        << "size " << table.size() << ", count " << count << ", max_bit "
+        << max_bit;
+  }
+}
+
+TEST(SelectControlBitsDifferential, RandomIpv4Tables) {
+  const std::size_t sizes[] = {50, 300, 2'000, 20'000};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const std::size_t size : sizes) {
+      net::TableGenConfig config;
+      config.size = size;
+      config.seed = 0xd1ff'0000 + seed * 31 + size;
+      const RouteTable table = net::generate_table(config);
+      for (const int max_bit : {31, 15, 9}) expect_matches_reference(table, max_bit);
+    }
+  }
+}
+
+TEST(SelectControlBitsDifferential, RandomIpv6Tables) {
+  const std::size_t sizes[] = {50, 400, 5'000, 20'000};
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    for (const std::size_t size : sizes) {
+      net::TableGen6Config config;
+      config.size = size;
+      config.seed = 0xd1ff'6000 + seed * 37 + size;
+      const net::RouteTable6 table = net::generate_table6(config);
+      for (const int max_bit : {127, 63, 40}) expect_matches_reference(table, max_bit);
+    }
+  }
+}
+
+TEST(SelectControlBitsDifferential, TinyTieHeavyTables) {
+  // The paper's P1..P7, and tables of short prefixes where many bits score
+  // alike, so the lowest-position tie-break decides. A max_bit below the
+  // count leaves fewer candidates than requested.
+  expect_matches_reference(paper_example_table(), 31);
+  expect_matches_reference(paper_example_table(), 7);
+  expect_matches_reference(paper_example_table(), 2);
+
+  RouteTable only_default;
+  only_default.add(Prefix(Ipv4Addr{0}, 0), 1);
+  expect_matches_reference(only_default, 31);
+
+  std::mt19937_64 rng(0x71e5);
+  for (int trial = 0; trial < 40; ++trial) {
+    RouteTable table;
+    const int entries = 1 + static_cast<int>(rng() % 12);
+    for (int i = 0; i < entries; ++i) {
+      const int length = static_cast<int>(rng() % 6);
+      table.add(Prefix(Ipv4Addr{static_cast<std::uint32_t>(rng())}, length),
+                static_cast<net::NextHop>(i));
+    }
+    expect_matches_reference(table, trial % 2 == 0 ? 31 : 4);
+
+    net::RouteTable6 table6;
+    for (int i = 0; i < entries; ++i) {
+      const int length = static_cast<int>(rng() % 6) + (trial % 3 == 0 ? 62 : 0);
+      table6.add(net::Prefix6(net::Ipv6Addr{rng(), rng()}, length),
+                 static_cast<net::NextHop>(i));
+    }
+    expect_matches_reference(table6, trial % 2 == 0 ? 127 : 66);
   }
 }
 
