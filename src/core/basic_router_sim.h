@@ -726,6 +726,8 @@ class BasicRouterSim {
       kInvalidate,    ///< invalidation for update i reaches LC `lc`'s cache
       kUpdateRelay,   ///< update i forwarded to the LC now serving its
                       ///< fragment (aux) by one a cutover moved it off
+      kReplicaUpdate, ///< update i reaches replica holder `lc`: apply to
+                      ///< its copy of fragment aux only
       // Failover subsystem (replication/migration; never scheduled when
       // both are off):
       kCopyLookup,    ///< re-routed request served from a replica copy;
@@ -1119,7 +1121,8 @@ class BasicRouterSim {
       case Event::Type::kDegraded: handle_degraded(sh, now, event); break;
       case Event::Type::kUpdateInject: handle_update_inject(sh, now, event); break;
       case Event::Type::kUpdateApply:
-      case Event::Type::kUpdateRelay: handle_update_apply(sh, now, event); break;
+      case Event::Type::kUpdateRelay:
+      case Event::Type::kReplicaUpdate: handle_update_apply(sh, now, event); break;
       case Event::Type::kInvalidate: handle_invalidate(sh, now, event); break;
       case Event::Type::kCopyLookup: handle_copy_lookup(sh, now, event); break;
       case Event::Type::kProbe: handle_probe(sh, now, event); break;
@@ -1915,11 +1918,14 @@ class BasicRouterSim {
                             event.requester, false, net::kNoRoute, home});
       }
       // Every replica copy stays fresh regardless of the primary's fate;
-      // the acting holder's event carries the broadcast flag (fill).
+      // the acting holder's event carries the broadcast flag (fill). The
+      // replica role rides its own event type: a holder the rebalancer
+      // moved the fragment onto also hosts the primary, and must apply
+      // this message to its copy, not a second time to the primary.
       for (const int r : holders) {
         ++sh.c.update.update_messages;
         send_reliable(sh, 0, now + 1,
-                      Event{Event::Type::kUpdateApply, r, Addr{},
+                      Event{Event::Type::kReplicaUpdate, r, Addr{},
                             event.requester, /*fill=*/r == acting,
                             net::kNoRoute, home});
       }
@@ -1927,7 +1933,8 @@ class BasicRouterSim {
   }
 
   /// Update i reaches LC `lc` for the fragment in event.aux: apply it to
-  /// the structure the LC keeps for that fragment (structure_of). At the
+  /// the structure its role names — the primary (primary_structure) for
+  /// kUpdateApply and kUpdateRelay, the LC's copy for kReplicaUpdate. At the
   /// serving LC that is the fragment's primary: besides the apply, the
   /// cache side invalidates locally and broadcasts, and a fragment
   /// mid-move double-delivers. At a replica holder the copy is kept fresh,
@@ -1936,7 +1943,8 @@ class BasicRouterSim {
   /// invalidation barrier exists even while the primary is dark.
   ///
   /// A primary message sent before a cutover moved the fragment off this
-  /// LC finds no structure here (the origin's own one is frozen): it is
+  /// LC finds no primary here (the origin's own one is frozen, and a copy
+  /// the LC holds gets the update from its own replica message): it is
   /// relayed to the serving LC and keeps its settle token. The relay rides
   /// as a double delivery, and at the serving LC it applies the prefix's
   /// newest injected route, since a later update sent straight there may
@@ -1946,8 +1954,14 @@ class BasicRouterSim {
     const int lc = event.lc;
     const int frag = event.aux;
     const bool relayed = event.type == Event::Type::kUpdateRelay;
-    const std::int32_t aux = structure_of(lc, frag);
-    if (aux == kNoStructure || (relayed && aux >= 0)) {
+    const bool replica = event.type == Event::Type::kReplicaUpdate;
+    const std::int32_t aux =
+        replica ? copy_slot(lc, frag) : primary_structure(lc, frag);
+    if (replica && aux < 0) {
+      throw std::logic_error(
+          "RouterSim: replica update at an LC that holds no copy");
+    }
+    if (aux == kNoStructure) {
       ++sh.c.fo.double_delivered_updates;
       ++sh.c.fo.control_messages;
       send_reliable(sh, lc, now + 1,
@@ -2145,12 +2159,18 @@ class BasicRouterSim {
   /// holds, or none. An LC whose own fragment moved away keeps only a
   /// frozen structure for it, which serves nothing.
   std::int32_t structure_of(int lc, int frag) const {
-    if (frag == lc) return serving_lc(frag) == lc ? kOwnAux : kNoStructure;
-    if (serving_lc(frag) == lc && hosted_slot(lc, frag) >= 0) {
-      return kHostedAuxBase - frag;
-    }
+    const std::int32_t primary = primary_structure(lc, frag);
+    if (primary != kNoStructure) return primary;
     const int slot = copy_slot(lc, frag);
     return slot >= 0 ? slot : kNoStructure;
+  }
+
+  /// The primary structure for `frag` at `lc` — its own fragment or one a
+  /// cutover re-homed here — or kNoStructure when `lc` does not serve it.
+  std::int32_t primary_structure(int lc, int frag) const {
+    if (serving_lc(frag) != lc) return kNoStructure;
+    if (frag == lc) return kOwnAux;
+    return hosted_slot(lc, frag) >= 0 ? kHostedAuxBase - frag : kNoStructure;
   }
 
   /// Latest hosted entry for `frag` at `lc`, or -1. Scans from the back so

@@ -203,7 +203,7 @@ TEST(RouterGolden, RebalancerWithChurnAndReplicas) {
   config.replication.replicas = 1;
   config.trie = trie::TrieKind::kDp;
   const RouterResult result = expect_digest<RouterSim>(
-      table4(), config, /*verify=*/false, 0x1D1E13ABAD9E0108ULL);
+      table4(), config, /*verify=*/false, 0xDDC96821FF724BA0ULL);
   EXPECT_GT(result.rebalancer.completed_migrations, 0u);
   EXPECT_GT(result.failover.replica_update_applications, 0u);
   EXPECT_GT(result.failover.double_delivered_updates, 0u);
@@ -299,6 +299,27 @@ TEST(RouterGolden, RebalancerWithReplicasAndChurnVerifies) {
   config.migration.chunk_interval_cycles = 16;
   config.replication.replicas = 1;
   expect_clean(config);
+}
+
+TEST(RouterGolden, ReplicaUpdatesApplyOnceToTheCopy) {
+  // The RebalancerWithChurnAndReplicas config moves fragments onto their
+  // own replica holders. Each update goes out as one primary and R replica
+  // messages; no fault defers any, so every primary message must apply
+  // once to the primary and every replica message once to the holder's
+  // copy, even where the holder now hosts the primary too.
+  RouterConfig config = rebalancing(churn(base_config(4)));
+  config.migration.chunk_prefixes = 64;
+  config.migration.chunk_interval_cycles = 16;
+  config.replication.replicas = 1;
+  config.trie = trie::TrieKind::kDp;
+  const RouterResult result = RouterSim(table4(), config).run_workload(profile(), false);
+  ASSERT_GT(result.rebalancer.completed_migrations, 0u);
+  const std::uint64_t messages = result.update.update_messages;
+  const std::uint64_t replica_applies = result.failover.replica_update_applications;
+  const std::uint64_t primary_applies = result.update.applications - replica_applies;
+  EXPECT_EQ(replica_applies, messages / 2);
+  EXPECT_EQ(primary_applies, messages / 2);
+  EXPECT_EQ(messages % 2, 0u);
 }
 
 TEST(RouterGolden, Ipv6WithUpdateInjects) {
