@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
-#include <unordered_set>
+
+#include "net/dedup_set.h"
 
 namespace spal::net {
 
@@ -76,19 +77,19 @@ RouteTable6 generate_table6(const TableGen6Config& config) {
   std::vector<RouteEntry6> entries;
   entries.reserve(config.size);
   std::vector<Prefix6> nestable;
-  // Hash on (hi, lo, len) for dedup.
+  // Dedup on (hi, lo, len); len is never 0 (the length weights start at
+  // /29), so Key{} is free to mark empty slots.
   struct Key {
     std::uint64_t hi, lo;
     int len;
     bool operator==(const Key&) const = default;
   };
   struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return std::hash<std::uint64_t>{}(k.hi * 0x9e3779b97f4a7c15ULL ^ k.lo) ^
-             std::hash<int>{}(k.len);
+    std::uint64_t operator()(const Key& k) const {
+      return mix64(k.hi ^ mix64(k.lo ^ static_cast<std::uint64_t>(k.len)));
     }
   };
-  std::unordered_set<Key, KeyHash> seen;
+  DedupSet<Key, KeyHash> seen(config.size);
 
   while (entries.size() < config.size) {
     const int length = length_dist(rng);
@@ -110,7 +111,7 @@ RouteTable6 generate_table6(const TableGen6Config& config) {
     }
     const Prefix6 prefix(addr, length);
     const Key key{prefix.address().hi(), prefix.address().lo(), prefix.length()};
-    if (!seen.insert(key).second) continue;
+    if (!seen.insert(key)) continue;
     entries.push_back(RouteEntry6{prefix, hop_dist(rng)});
     if (prefix.length() <= 48) nestable.push_back(prefix);
   }

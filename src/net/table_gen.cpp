@@ -1,8 +1,9 @@
 #include "net/table_gen.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <vector>
+
+#include "net/dedup_set.h"
 
 namespace spal::net {
 namespace {
@@ -78,7 +79,11 @@ RouteTable generate_table(const TableGenConfig& config) {
   std::uniform_int_distribution<std::uint32_t> word;
   std::uniform_int_distribution<NextHop> hop_dist(0, config.next_hops == 0 ? 0 : config.next_hops - 1);
 
-  std::unordered_set<std::uint64_t> seen;  // (bits << 6) | length
+  // Keyed (bits << 6) | length, never 0: every drawn length is at least 1.
+  struct KeyHash {
+    std::uint64_t operator()(std::uint64_t key) const { return mix64(key); }
+  };
+  DedupSet<std::uint64_t, KeyHash> seen(config.size);
   std::vector<RouteEntry> entries;
   entries.reserve(config.size);
   // Prefixes shorter than /24, candidates for hosting nested exceptions.
@@ -113,7 +118,7 @@ RouteTable generate_table(const TableGenConfig& config) {
       bits = (octet << 24) | (word(rng) & 0x00ffffffu);
     }
     const Prefix prefix(Ipv4Addr{bits}, length);
-    if (!seen.insert(key_of(prefix)).second) continue;
+    if (!seen.insert(key_of(prefix))) continue;
     entries.push_back(RouteEntry{prefix, hop_dist(rng)});
     if (prefix.length() <= 24) nestable.push_back(prefix);
   }

@@ -10,32 +10,38 @@
 namespace spal::partition {
 namespace {
 
-/// Per-position Φ tallies over one subset, accumulated by iterating each
-/// member's set bits (Kernighan-style), so the cost per entry is its
-/// popcount rather than one branch per candidate position.
+/// Per-position Φ tallies over one subset: the ones per candidate position
+/// (each member's set bits, Kernighan-style) and a length histogram. Star
+/// counts follow from the histogram, since position b is "*" exactly for
+/// members no longer than b.
+template <int Words>
 struct SubsetTallies {
-  std::array<std::uint64_t, 128> ones{};
-  std::array<std::uint64_t, 128> stars{};
+  std::array<std::size_t, 128> ones{};
+  std::array<std::size_t, 129> lengths{};
   std::size_t members = 0;
 
-  void add(const generic::PackedPrefix& p) {
+  void add(const generic::SelectorRecord<Words>& r) {
     ++members;
-    for (int w = 0; w < 2; ++w) {
-      for (std::uint64_t m = p.ones[w]; m != 0; m &= m - 1) {
-        ++ones[static_cast<std::size_t>(w * 64 + std::countr_zero(m))];
-      }
-      for (std::uint64_t m = p.stars[w]; m != 0; m &= m - 1) {
-        ++stars[static_cast<std::size_t>(w * 64 + std::countr_zero(m))];
+    ++lengths[r.length];
+    for (int w = 0; w < Words; ++w) {
+      for (std::uint64_t m = r.ones[static_cast<std::size_t>(w)]; m != 0; m &= m - 1) {
+        ++ones[static_cast<std::size_t>(w * 64 + 63 - std::countr_zero(m))];
       }
     }
   }
 
-  BitStats stats(int bit) const {
-    BitStats s;
-    s.phi1 = ones[static_cast<std::size_t>(bit)];
-    s.phi_star = stars[static_cast<std::size_t>(bit)];
-    s.phi0 = members - s.phi1 - s.phi_star;
-    return s;
+  /// Φ per candidate position 0..bits-1.
+  std::vector<BitStats> stats(int bits) const {
+    std::vector<BitStats> out(static_cast<std::size_t>(bits));
+    std::size_t stars = 0;  // members with length <= b
+    for (int b = 0; b < bits; ++b) {
+      stars += lengths[static_cast<std::size_t>(b)];
+      BitStats& s = out[static_cast<std::size_t>(b)];
+      s.phi1 = ones[static_cast<std::size_t>(b)];
+      s.phi_star = stars;
+      s.phi0 = members - s.phi1 - s.phi_star;
+    }
+    return out;
   }
 };
 
@@ -56,38 +62,46 @@ BitStats compute_bit_stats(std::span<const net::BasicRouteEntry<Addr>> entries,
 }
 
 /// Greedy recursive selection per the two criteria (see BitScore for the
-/// arbitration rule). Prefixes are packed into tri-state bitmasks once;
-/// every round then tallies all candidate positions in a single pass per
-/// subset. Scores — and therefore the chosen bits — are identical to the
-/// direct per-bit scan of compute_bit_stats.
+/// arbitration rule). Each prefix becomes one compact record (address
+/// words and length). The subsets of a round sit back to back in one flat
+/// array; a round scores every candidate from the subsets' tallies, then
+/// scatters each subset into its two children — exact sizes are known from
+/// the tallies — and tallies the children in the same pass. Scores, and so
+/// the chosen bits, are identical to the direct per-bit scan of
+/// compute_bit_stats.
 template <typename Addr>
 std::vector<int> select_control_bits(const net::BasicRouteTable<Addr>& table,
                                      int count, int max_bit) {
+  constexpr int kWords = generic::kRecordWords<net::PrefixOf<Addr>>;
+  using Record = generic::SelectorRecord<kWords>;
+  using Tallies = SubsetTallies<kWords>;
   std::vector<int> chosen;
   if (count <= 0 || table.size() == 0 || max_bit < 0 || max_bit > 127) {
     return chosen;
   }
   const int bits = max_bit + 1;
-  std::vector<std::vector<generic::PackedPrefix>> subsets(1);
-  subsets[0].reserve(table.size());
+  std::vector<Record> records;
+  records.reserve(table.size());
+  std::vector<Tallies> tallies(1);
   for (const auto& e : table.entries()) {
-    subsets[0].push_back(generic::pack_prefix(e.prefix, bits));
+    records.push_back(generic::make_record(e.prefix, bits));
+    tallies[0].add(records.back());
   }
+  std::vector<Record> next_records;
 
   for (int round = 0; round < count; ++round) {
-    std::vector<SubsetTallies> tallies(subsets.size());
-    for (std::size_t s = 0; s < subsets.size(); ++s) {
-      for (const generic::PackedPrefix& p : subsets[s]) tallies[s].add(p);
-    }
+    std::vector<std::vector<BitStats>> stats;
+    stats.reserve(tallies.size());
+    for (const Tallies& t : tallies) stats.push_back(t.stats(bits));
     int best_bit = -1;
     BitScore best_score{};
     for (int bit = 0; bit < bits; ++bit) {
       if (std::find(chosen.begin(), chosen.end(), bit) != chosen.end()) continue;
       BitScore score{};
-      for (const SubsetTallies& t : tallies) {
-        const BitStats stats = t.stats(bit);
-        score.replication += stats.phi_star;
-        score.imbalance += stats.imbalance();
+      for (const auto& subset : stats) {
+        const BitStats& s = subset[static_cast<std::size_t>(bit)];
+        score.replication += s.phi_star;
+        score.imbalance += s.imbalance();
       }
       if (best_bit < 0 || score < best_score) {
         best_score = score;
@@ -96,25 +110,48 @@ std::vector<int> select_control_bits(const net::BasicRouteTable<Addr>& table,
     }
     if (best_bit < 0) break;
     chosen.push_back(best_bit);
-    const std::size_t w = static_cast<std::size_t>(best_bit >> 6);
-    const std::uint64_t m = 1ull << (best_bit & 63);
-    std::vector<std::vector<generic::PackedPrefix>> next;
-    next.reserve(subsets.size() * 2);
-    for (const auto& subset : subsets) {
-      auto& zero = next.emplace_back();
-      auto& one = next.emplace_back();
-      for (const generic::PackedPrefix& p : subset) {
-        if (p.stars[w] & m) {
-          zero.push_back(p);
-          one.push_back(p);
-        } else if (p.ones[w] & m) {
-          one.push_back(p);
+    if (round + 1 == count) break;  // no later round reads the split
+
+    // Child 2s takes subset s's zeros and stars, child 2s+1 its ones and
+    // stars; the stars go to both.
+    const auto b = static_cast<std::size_t>(best_bit);
+    std::vector<std::size_t> child_start;
+    child_start.reserve(2 * tallies.size() + 1);
+    std::size_t total = 0;
+    for (const auto& subset : stats) {
+      child_start.push_back(total);
+      total += subset[b].phi0 + subset[b].phi_star;
+      child_start.push_back(total);
+      total += subset[b].phi1 + subset[b].phi_star;
+    }
+    next_records.resize(total);
+    std::vector<Tallies> next_tallies(2 * tallies.size());
+    std::size_t begin = 0;
+    for (std::size_t s = 0; s < tallies.size(); ++s) {
+      std::size_t zero = child_start[2 * s];
+      std::size_t one = child_start[2 * s + 1];
+      Tallies& zero_tallies = next_tallies[2 * s];
+      Tallies& one_tallies = next_tallies[2 * s + 1];
+      const std::size_t end = begin + tallies[s].members;
+      for (std::size_t i = begin; i < end; ++i) {
+        const Record& r = records[i];
+        if (r.length <= best_bit) {
+          next_records[zero++] = r;
+          zero_tallies.add(r);
+          next_records[one++] = r;
+          one_tallies.add(r);
+        } else if (generic::record_one(r, best_bit)) {
+          next_records[one++] = r;
+          one_tallies.add(r);
         } else {
-          zero.push_back(p);
+          next_records[zero++] = r;
+          zero_tallies.add(r);
         }
       }
+      begin = end;
     }
-    subsets = std::move(next);
+    records.swap(next_records);
+    tallies = std::move(next_tallies);
   }
   return chosen;
 }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -18,49 +19,87 @@
 
 namespace spal::partition::generic {
 
-/// Tri-state view of one prefix over candidate positions 0..bits-1, packed
-/// into bitmasks (two words cover IPv6's 64-bit search window and then
-/// some). Positions in neither mask read as zero.
-struct PackedPrefix {
-  std::array<std::uint64_t, 2> ones{};
-  std::array<std::uint64_t, 2> stars{};
+/// Compact selector record of one prefix: its address words MSB-first
+/// (position p is bit 63 - p % 64 of word p / 64), cut to the candidate
+/// positions, plus its length. The prefix types zero every bit past the
+/// length, so a set bit is a kOne position; position p is kStar exactly
+/// when p >= length, which lets star tallies come from a length histogram.
+template <int Words>
+struct SelectorRecord {
+  std::array<std::uint64_t, Words> ones{};
+  std::uint8_t length = 0;
 };
 
+/// Words a prefix type's address spans (1 for IPv4, 2 for IPv6).
 template <typename Prefix>
-PackedPrefix pack_prefix(const Prefix& prefix, int bits) {
-  PackedPrefix p;
-  for (int b = 0; b < bits; ++b) {
-    switch (prefix.bit(b)) {
-      case net::PrefixBit::kZero: break;
-      case net::PrefixBit::kOne:
-        p.ones[static_cast<std::size_t>(b >> 6)] |= 1ull << (b & 63);
-        break;
-      case net::PrefixBit::kStar:
-        p.stars[static_cast<std::size_t>(b >> 6)] |= 1ull << (b & 63);
-        break;
-    }
+inline constexpr int kRecordWords = Prefix::kMaxLength > 64 ? 2 : 1;
+
+inline std::array<std::uint64_t, 1> address_words(const net::Prefix& prefix) {
+  return {std::uint64_t{prefix.bits()} << 32};
+}
+
+template <typename Prefix>
+std::array<std::uint64_t, 2> address_words(const Prefix& prefix) {
+  return {prefix.address().hi(), prefix.address().lo()};
+}
+
+/// The record of `prefix` over candidate positions 0..bits-1.
+template <typename Prefix>
+SelectorRecord<kRecordWords<Prefix>> make_record(const Prefix& prefix, int bits) {
+  SelectorRecord<kRecordWords<Prefix>> record;
+  record.ones = address_words(prefix);
+  for (int w = 0; w < kRecordWords<Prefix>; ++w) {
+    const int kept = std::clamp(bits - 64 * w, 0, 64);
+    record.ones[static_cast<std::size_t>(w)] &=
+        kept == 0 ? 0 : ~std::uint64_t{0} << (64 - kept);
   }
-  return p;
+  record.length = static_cast<std::uint8_t>(prefix.length());
+  return record;
+}
+
+/// Whether candidate position `pos` of `record` is a one (not zero, not *).
+template <int Words>
+bool record_one(const SelectorRecord<Words>& record, int pos) {
+  return (record.ones[static_cast<std::size_t>(pos >> 6)] >> (63 - (pos & 63))) & 1u;
 }
 
 /// The control-bit groups a prefix belongs to: its control bits packed
 /// MSB-first in selection order, each "*" bit expanding to both values
-/// (2^s patterns for s star control bits).
-template <typename Prefix>
-std::vector<std::uint32_t> group_patterns(const Prefix& prefix,
-                                          std::span<const int> control_bits) {
-  std::vector<std::uint32_t> patterns{0};
-  for (const int bit : control_bits) {
-    const net::PrefixBit value = prefix.bit(bit);
-    std::vector<std::uint32_t> next;
-    next.reserve(patterns.size() * 2);
-    for (const std::uint32_t p : patterns) {
-      if (value != net::PrefixBit::kOne) next.push_back(p << 1);
-      if (value != net::PrefixBit::kZero) next.push_back((p << 1) | 1u);
-    }
-    patterns = std::move(next);
+/// (2^s patterns for s star control bits). Held as the one-bits and the
+/// star bits of the pattern, so no list of patterns is ever built.
+struct GroupSet {
+  std::uint32_t base = 0;   ///< control bits that are 1
+  std::uint32_t stars = 0;  ///< control bits that are *
+
+  /// Number of groups, 2^s, as the divisor of a per-group weight share.
+  double count() const {
+    return static_cast<double>(std::uint64_t{1} << std::popcount(stars));
   }
-  return patterns;
+
+  /// Calls f(pattern) for every group, in ascending pattern order.
+  template <typename F>
+  void for_each(F&& f) const {
+    std::uint32_t sub = 0;  // submasks of `stars`, ascending
+    do {
+      f(base | sub);
+      sub = (sub - stars) & stars;
+    } while (sub != 0);
+  }
+};
+
+template <typename Prefix>
+GroupSet groups_of(const Prefix& prefix, std::span<const int> control_bits) {
+  GroupSet groups;
+  for (const int bit : control_bits) {
+    groups.base <<= 1;
+    groups.stars <<= 1;
+    switch (prefix.bit(bit)) {
+      case net::PrefixBit::kZero: break;
+      case net::PrefixBit::kOne: groups.base |= 1u; break;
+      case net::PrefixBit::kStar: groups.stars |= 1u; break;
+    }
+  }
+  return groups;
 }
 
 /// Longest-processing-time greedy: groups in descending cost (stable), each
@@ -113,9 +152,8 @@ std::vector<std::vector<Entry>> assign_groups(std::span<const Entry> entries,
   const std::size_t num_groups = std::size_t{1} << control_bits.size();
   std::vector<std::vector<Entry>> groups(num_groups);
   for (const Entry& e : entries) {
-    for (const std::uint32_t p : group_patterns(e.prefix, control_bits)) {
-      groups[p].push_back(e);
-    }
+    groups_of(e.prefix, control_bits).for_each(
+        [&](std::uint32_t p) { groups[p].push_back(e); });
   }
   if (static_cast<std::size_t>(num_lcs) == num_groups) {
     group_to_lc.resize(num_groups);
@@ -138,9 +176,9 @@ std::vector<double> group_loads(std::span<const Entry> entries,
                                 std::span<const int> control_bits) {
   std::vector<double> loads(std::size_t{1} << control_bits.size(), 0.0);
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    const auto patterns = group_patterns(entries[i].prefix, control_bits);
-    const double share = weights[i] / static_cast<double>(patterns.size());
-    for (const std::uint32_t p : patterns) loads[p] += share;
+    const GroupSet set = groups_of(entries[i].prefix, control_bits);
+    const double share = weights[i] / set.count();
+    set.for_each([&](std::uint32_t p) { loads[p] += share; });
   }
   return loads;
 }
@@ -167,12 +205,12 @@ std::vector<std::vector<Entry>> assign_groups_weighted(
   std::vector<std::vector<Entry>> groups(num_groups);
   std::vector<double> loads(num_groups, 0.0);
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    const auto patterns = group_patterns(entries[i].prefix, control_bits);
-    const double share = weights[i] / static_cast<double>(patterns.size());
-    for (const std::uint32_t p : patterns) {
+    const GroupSet set = groups_of(entries[i].prefix, control_bits);
+    const double share = weights[i] / set.count();
+    set.for_each([&](std::uint32_t p) {
       groups[p].push_back(entries[i]);
       loads[p] += share;
-    }
+    });
   }
   std::vector<std::size_t> sizes(num_groups);
   for (std::size_t g = 0; g < num_groups; ++g) sizes[g] = groups[g].size();

@@ -105,9 +105,9 @@ std::vector<int> BasicRotPartition<Addr>::homes_of(const Prefix& prefix) const {
   // Every group compatible with the prefix's tri-state control bits — the
   // same rule the fragmenter replicates entries by.
   std::vector<int> lcs;
-  for (const std::uint32_t g : generic::group_patterns(prefix, control_bits())) {
+  generic::groups_of(prefix, control_bits()).for_each([&](std::uint32_t g) {
     lcs.push_back(group_to_lc_[g]);
-  }
+  });
   std::sort(lcs.begin(), lcs.end());
   lcs.erase(std::unique(lcs.begin(), lcs.end()), lcs.end());
   return lcs;

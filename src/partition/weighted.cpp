@@ -14,23 +14,22 @@ namespace {
 /// Weighted per-position Φ tallies over one subset: the weight mass of
 /// one-bits and star-bits per candidate position, plus the subset total
 /// (zero mass falls out by subtraction, like the unweighted tallies).
+/// Positions length..bits-1 of a record are its stars.
 struct WeightedTallies {
   std::array<double, 128> ones{};
   std::array<double, 128> stars{};
   double total = 0.0;
 
-  void add(const generic::PackedPrefix& p, double w) {
+  template <int Words>
+  void add(const generic::SelectorRecord<Words>& r, double w, int bits) {
     total += w;
-    for (int word = 0; word < 2; ++word) {
-      for (std::uint64_t m = p.ones[static_cast<std::size_t>(word)]; m != 0;
+    for (int word = 0; word < Words; ++word) {
+      for (std::uint64_t m = r.ones[static_cast<std::size_t>(word)]; m != 0;
            m &= m - 1) {
-        ones[static_cast<std::size_t>(word * 64 + std::countr_zero(m))] += w;
-      }
-      for (std::uint64_t m = p.stars[static_cast<std::size_t>(word)]; m != 0;
-           m &= m - 1) {
-        stars[static_cast<std::size_t>(word * 64 + std::countr_zero(m))] += w;
+        ones[static_cast<std::size_t>(word * 64 + 63 - std::countr_zero(m))] += w;
       }
     }
+    for (int b = r.length; b < bits; ++b) stars[static_cast<std::size_t>(b)] += w;
   }
 };
 
@@ -79,20 +78,20 @@ std::vector<int> select_control_bits_weighted(
           : 0.0;
 
   struct Member {
-    generic::PackedPrefix p;
+    generic::SelectorRecord<generic::kRecordWords<net::PrefixOf<Addr>>> r;
     double w;
   };
   std::vector<std::vector<Member>> subsets(1);
   subsets[0].reserve(table.size());
   for (std::size_t i = 0; i < table.size(); ++i) {
     subsets[0].push_back(Member{
-        generic::pack_prefix(table.entries()[i].prefix, bits), weights[i] * scale});
+        generic::make_record(table.entries()[i].prefix, bits), weights[i] * scale});
   }
 
   for (int round = 0; round < count; ++round) {
     std::vector<WeightedTallies> tallies(subsets.size());
     for (std::size_t s = 0; s < subsets.size(); ++s) {
-      for (const Member& m : subsets[s]) tallies[s].add(m.p, m.w);
+      for (const Member& m : subsets[s]) tallies[s].add(m.r, m.w, bits);
     }
     int best_bit = -1;
     WeightedBitScore best_score{};
@@ -116,20 +115,18 @@ std::vector<int> select_control_bits_weighted(
     }
     if (best_bit < 0) break;
     chosen.push_back(best_bit);
-    const std::size_t w = static_cast<std::size_t>(best_bit >> 6);
-    const std::uint64_t m = 1ull << (best_bit & 63);
     std::vector<std::vector<Member>> next;
     next.reserve(subsets.size() * 2);
     for (const auto& subset : subsets) {
       auto& zero = next.emplace_back();
       auto& one = next.emplace_back();
       for (const Member& member : subset) {
-        if (member.p.stars[w] & m) {
+        if (member.r.length <= best_bit) {
           // A star prefix replicates into both subsets; its traffic splits
           // evenly, so each side tallies half the weight from here on.
-          zero.push_back(Member{member.p, member.w / 2.0});
-          one.push_back(Member{member.p, member.w / 2.0});
-        } else if (member.p.ones[w] & m) {
+          zero.push_back(Member{member.r, member.w / 2.0});
+          one.push_back(Member{member.r, member.w / 2.0});
+        } else if (generic::record_one(member.r, best_bit)) {
           one.push_back(member);
         } else {
           zero.push_back(member);
